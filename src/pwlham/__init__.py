@@ -9,110 +9,30 @@ flight times, and cross-checked by an independent numerical return map.
 """
 
 from .closure import (
-    ClosureOutcome,
-    ClosureResiduals,
     Continuum,
-    HyperbolaCoefficients,
     NoSolution,
     UniqueCycleCandidate,
-    eliminate_outer,
-    hyperbola_coefficients,
-    residuals_three_zone,
-    residuals_two_zone,
+    solve,
     solve_three_zone,
-    solve_two_zone,
 )
-from .cycle import (
-    CycleCertificate,
-    certify,
-    cycle_period,
-    find_limit_cycle,
-    verify_certificate,
-)
-from .flow import (
-    CrossingClassification,
-    FlowState,
-    NeverReaches,
-    TangentialContact,
-    classify_boundary_point,
-    flight_time,
-    flow_closed_form,
-    orbit_samples,
-)
-from .model import (
-    DegenerateField,
-    LinearHamiltonianField,
-    PiecewiseSystem,
-    SingularKind,
-    THREE_ZONE,
-    TWO_ZONE,
-    ZoneLayout,
-    classify_singularity,
-    hamiltonian_value,
-    is_continuous,
-    load_system,
-    singular_points_in_zone,
-    system_from_json_dict,
-    system_to_json_dict,
-    vector_field_value,
-)
-from .poincare import (
-    BadBracket,
-    NoReturn,
-    SlidingEncountered,
-    Trajectory,
-    fixed_point,
-    integrate_numeric,
-    return_map,
-)
+from .cycle import CycleCertificate, certify, find_limit_cycle, verify_certificate
+from .model import LinearHamiltonianField, PiecewiseSystem, load_system
+from .poincare import fixed_point
 
 __all__ = [
-    "BadBracket",
-    "ClosureOutcome",
-    "ClosureResiduals",
-    "Continuum",
-    "CrossingClassification",
-    "CycleCertificate",
-    "DegenerateField",
-    "FlowState",
-    "HyperbolaCoefficients",
     "LinearHamiltonianField",
-    "NeverReaches",
-    "NoReturn",
-    "NoSolution",
     "PiecewiseSystem",
-    "SingularKind",
-    "SlidingEncountered",
-    "TangentialContact",
-    "THREE_ZONE",
-    "TWO_ZONE",
-    "Trajectory",
-    "UniqueCycleCandidate",
-    "ZoneLayout",
-    "certify",
-    "classify_boundary_point",
-    "classify_singularity",
-    "cycle_period",
-    "eliminate_outer",
-    "find_limit_cycle",
-    "fixed_point",
-    "flight_time",
-    "flow_closed_form",
-    "hamiltonian_value",
-    "hyperbola_coefficients",
-    "integrate_numeric",
-    "is_continuous",
     "load_system",
-    "orbit_samples",
-    "residuals_three_zone",
-    "residuals_two_zone",
-    "return_map",
-    "singular_points_in_zone",
+    "solve",
     "solve_three_zone",
-    "solve_two_zone",
-    "system_from_json_dict",
-    "system_to_json_dict",
+    "NoSolution",
+    "UniqueCycleCandidate",
+    "Continuum",
+    "certify",
+    "find_limit_cycle",
+    "CycleCertificate",
     "verify_certificate",
+    "fixed_point",
 ]
 
 __version__ = "0.1.0"

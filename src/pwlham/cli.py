@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +21,6 @@ from . import closure, cycle, poincare
 from .cycle import CycleCertificate
 from .model import (
     PiecewiseSystem,
-    SystemFormatError,
     is_continuous,
     load_system,
     singular_points_in_zone,
@@ -41,30 +39,6 @@ CANVAS_HEIGHT = 600
 CANVAS_MARGIN = 60.0
 
 ORACLE_AGREEMENT_TOL = 1e-6
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: the command plus its inputs, outputs and knobs."""
-
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    certificate_path: Optional[str] = None
-    trajectory_csv: Optional[str] = None
-    tol: float = 1e-9
-    samples: int = 256
-    window: Optional[tuple[float, float, float, float]] = None
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.samples < 2:
-            raise ValueError("sample count must be at least 2")
-        if self.window is not None:
-            x0, x1, y0, y1 = self.window
-            if not (x0 < x1 and y0 < y1):
-                raise ValueError(f"empty plot window {self.window}")
 
 
 def bundle_examples() -> list[tuple[str, PiecewiseSystem]]:
@@ -219,35 +193,16 @@ def _default_window(
 # --- commands ----------------------------------------------------------------
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        handler = _COMMANDS[config.command]
-    except KeyError:
-        raise ValueError(f"unknown command {config.command!r}") from None
-    try:
-        return handler(config)
-    except (SystemFormatError, FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-
-def _load_input(config: RunConfig) -> PiecewiseSystem:
-    if config.input_path is None:
-        raise SystemFormatError("an --input system definition is required")
-    return load_system(config.input_path)
-
-
-def _emit_json(config: RunConfig, payload: dict) -> None:
+def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    system = _load_input(config)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
     continuous, violations = is_continuous(system)
     zones = []
     for zone_id, info, inside in singular_points_in_zone(system):
@@ -261,7 +216,7 @@ def _cmd_classify(config: RunConfig) -> int:
             }
         )
     _emit_json(
-        config,
+        args,
         {
             "layout": "two" if system.layout.n_zones == 2 else "three",
             "continuous": continuous,
@@ -292,24 +247,18 @@ def _outcome_payload(outcome: closure.ClosureOutcome) -> dict:
     }
 
 
-def _solve(system: PiecewiseSystem) -> closure.ClosureOutcome:
-    if system.layout.n_zones == 2:
-        return closure.solve_two_zone(system)
-    return closure.solve_three_zone(system)
-
-
-def _cmd_solve(config: RunConfig) -> int:
-    system = _load_input(config)
-    _emit_json(config, _outcome_payload(_solve(system)))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    _emit_json(args, _outcome_payload(closure.solve(system)))
     return EXIT_OK
 
 
-def _cmd_cycle(config: RunConfig) -> int:
-    system = _load_input(config)
-    result = cycle.certify(system, samples_per_arc=config.samples)
+def _cmd_cycle(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    result = cycle.certify(system, samples_per_arc=args.samples)
     if result.certificate is None:
         _emit_json(
-            config,
+            args,
             {
                 "limit_cycle": False,
                 "report": result.reason,
@@ -319,35 +268,35 @@ def _cmd_cycle(config: RunConfig) -> int:
         return EXIT_OK
     payload = cycle.certificate_to_json_dict(result.certificate)
     payload["limit_cycle"] = True
-    _emit_json(config, payload)
+    _emit_json(args, payload)
     return EXIT_OK
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    system = _load_input(config)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
     result = cycle.certify(system)
     if result.certificate is None:
         _emit_json(
-            config,
+            args,
             {"limit_cycle": False, "report": result.reason},
         )
         return EXIT_OK
     cert = result.certificate
     y0 = cert.corners[0][1]
-    bracket, d_lo, d_hi = _displacement_bracket(system, y0, config.tol)
-    numeric_y0 = poincare.fixed_point(system, bracket, tol=config.tol)
-    _, return_time = poincare.first_return(system, numeric_y0, tol=config.tol)
+    bracket, d_lo, d_hi = _displacement_bracket(system, y0, args.tol)
+    numeric_y0 = poincare.fixed_point(system, bracket, tol=args.tol)
+    _, return_time = poincare.first_return(system, numeric_y0, tol=args.tol)
     y_gap = abs(numeric_y0 - y0)
     t_gap = abs(return_time - cert.period)
     agrees = y_gap <= ORACLE_AGREEMENT_TOL and t_gap <= ORACLE_AGREEMENT_TOL
-    if config.trajectory_csv:
+    if args.trajectory_csv:
         trajectory = poincare.integrate_numeric(
-            system, (1.0, y0), t_max=cert.period * 1.0001, tol=config.tol
+            system, (1.0, y0), t_max=cert.period * 1.0001, tol=args.tol
         )
-        with open(config.trajectory_csv, "w", encoding="utf-8") as fh:
+        with open(args.trajectory_csv, "w", encoding="utf-8") as fh:
             poincare.trajectory_to_csv(trajectory, fh)
     _emit_json(
-        config,
+        args,
         {
             "analytic": {"y0": y0, "period": cert.period},
             "numeric": {"fixed_point": numeric_y0, "return_time": return_time},
@@ -388,16 +337,16 @@ def _displacement_bracket(
     )
 
 
-def _cmd_plot(config: RunConfig) -> int:
-    system = _load_input(config)
-    result = cycle.certify(system, samples_per_arc=config.samples)
-    output = config.output_path or "portrait.svg"
+def _cmd_plot(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    result = cycle.certify(system, samples_per_arc=args.samples)
+    output = args.output or "portrait.svg"
     if result.certificate is not None:
-        render_svg(result.certificate, config.window, output, system=system)
+        render_svg(result.certificate, args.window, output, system=system)
     else:
         # No isolated cycle: plot a sample orbit for context.
         render_svg(
-            _sample_trajectory(system, config.tol), config.window, output,
+            _sample_trajectory(system, args.tol), args.window, output,
             system=system,
         )
     return EXIT_OK
@@ -425,22 +374,22 @@ def _sample_trajectory(
     raise ValueError("could not sample a representative orbit for plotting")
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    system = _load_input(config)
-    if config.certificate_path:
-        doc = json.loads(Path(config.certificate_path).read_text(encoding="utf-8"))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    if args.certificate:
+        doc = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
         certificate = cycle.certificate_from_json_dict(doc)
     else:
-        certificate = cycle.find_limit_cycle(system, samples_per_arc=config.samples)
+        certificate = cycle.find_limit_cycle(system, samples_per_arc=args.samples)
         if certificate is None:
             _emit_json(
-                config,
+                args,
                 {"verified": False, "report": "no certificate to verify"},
             )
             return EXIT_OK
     report = cycle.verify_certificate(certificate, system)
     _emit_json(
-        config,
+        args,
         {
             "verified": report.passed,
             "checks": [
@@ -457,16 +406,6 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "solve": _cmd_solve,
-    "cycle": _cmd_cycle,
-    "oracle": _cmd_oracle,
-    "plot": _cmd_plot,
-    "verify": _cmd_verify,
-}
-
-
 def _parse_window(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -478,6 +417,20 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     return (x0, x1, y0, y1)
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
+    return tol
+
+
+def _sample_count(text: str) -> int:
+    samples = int(text)
+    if samples < 2:
+        raise argparse.ArgumentTypeError("sample count must be at least 2")
+    return samples
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwlham",
@@ -487,21 +440,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("classify", "per-zone singularity types and continuity report"),
-        ("solve", "closure-equation outcome: none, unique candidate, continuum"),
-        ("cycle", "certify the limit cycle (or report why there is none)"),
-        ("oracle", "cross-check the cycle against numerical integration"),
-        ("plot", "render an SVG phase portrait"),
-        ("verify", "re-derive and check every certificate invariant"),
+    for name, handler, help_text in (
+        ("classify", _cmd_classify,
+         "per-zone singularity types and continuity report"),
+        ("solve", _cmd_solve,
+         "closure-equation outcome: none, unique candidate, continuum"),
+        ("cycle", _cmd_cycle,
+         "certify the limit cycle (or report why there is none)"),
+        ("oracle", _cmd_oracle,
+         "cross-check the cycle against numerical integration"),
+        ("plot", _cmd_plot, "render an SVG phase portrait"),
+        ("verify", _cmd_verify,
+         "re-derive and check every certificate invariant"),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--input", required=True, help="system definition JSON")
         cmd.add_argument("--output", help="output file (default: stdout)")
-        cmd.add_argument("--tol", type=float, default=1e-9,
-                         help="numerical tolerance (oracle integration)")
-        cmd.add_argument("--samples", type=int, default=256,
-                         help="polyline samples per arc")
+        if name in ("oracle", "plot"):
+            cmd.add_argument("--tol", type=_tolerance, default=poincare.DEFAULT_TOL,
+                             help="numerical integration tolerance")
+        if name in ("cycle", "plot", "verify"):
+            cmd.add_argument("--samples", type=_sample_count,
+                             default=cycle.DEFAULT_SAMPLES_PER_ARC,
+                             help="polyline samples per arc")
         if name == "plot":
             cmd.add_argument("--window", type=_parse_window,
                              help="plot window x0,x1,y0,y1")
@@ -518,20 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            certificate_path=getattr(args, "certificate", None),
-            trajectory_csv=getattr(args, "trajectory_csv", None),
-            tol=args.tol,
-            samples=args.samples,
-            window=getattr(args, "window", None),
-        )
-    except ValueError as exc:
+        return args.handler(args)
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .model import PiecewiseSystem, is_continuous, iter_coefficients
+from .model import PiecewiseSystem, is_continuous
 
 # A coefficient (or derived combination) counts as zero for branch dispatch
 # below DISPATCH_TOL times the coefficient scale of the system.
@@ -142,7 +142,7 @@ def residuals_three_zone(
 
 
 def _dispatch_tol(system: PiecewiseSystem) -> float:
-    return DISPATCH_TOL * (1.0 + max(abs(v) for v in iter_coefficients(system)))
+    return DISPATCH_TOL * (1.0 + system.coefficient_scale())
 
 
 def eliminate_outer(
@@ -191,15 +191,17 @@ def hyperbola_coefficients(system: PiecewiseSystem) -> HyperbolaCoefficients:
     )
 
 
-# Sign relating each conic to the corresponding reduced matching equation:
-# conic1(y1, y3) = +residual2(y0(y1), y3), conic2(y1, y3) = -residual4(y1, y2(y3)).
-CONIC_RESIDUAL_FACTORS = (1.0, -1.0)
-
-
 def _three_fields(system: PiecewiseSystem):
     if system.layout.n_zones != 3:
         raise ValueError("expected a three-zone system")
     return system.fields
+
+
+def solve(system: PiecewiseSystem) -> ClosureOutcome:
+    """Classify the closure equations of a two- or three-zone system."""
+    if system.layout.n_zones == 2:
+        return solve_two_zone(system)
+    return solve_three_zone(system)
 
 
 def solve_two_zone(system: PiecewiseSystem) -> ClosureOutcome:
@@ -313,31 +315,23 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
             )
         return Continuum("outer equations vanish identically, b_C != 0")
 
-    if b_r_zero:  # b_L != 0, a_R + alpha_R = 0
+    if b_r_zero or b_l_zero:  # one outer equation vanishes, the other b != 0
+        side, other, g = ("R", "L", "a_R + alpha_R")
+        if b_l_zero:
+            side, other, g = ("L", "R", "a_L - alpha_L")
         if b_c_zero:
             if g_c_zero:
                 return NoSolution(
-                    "b_R = a_R + alpha_R = b_C = alpha_C - a_C = 0 with "
-                    "b_L != 0: corners collapse"
+                    f"b_{side} = {g} = b_C = alpha_C - a_C = 0 with "
+                    f"b_{other} != 0: corners collapse"
                 )
             return Continuum(
-                "R-zone equation vanishes, inner equations affine in the "
+                f"{side}-zone equation vanishes, inner equations affine in the "
                 "free ordinates"
             )
-        return Continuum("R-zone equation vanishes identically, b_L b_C != 0")
-
-    if b_l_zero:  # b_R != 0, a_L - alpha_L = 0
-        if b_c_zero:
-            if g_c_zero:
-                return NoSolution(
-                    "b_L = a_L - alpha_L = b_C = alpha_C - a_C = 0 with "
-                    "b_R != 0: corners collapse"
-                )
-            return Continuum(
-                "L-zone equation vanishes, inner equations affine in the "
-                "free ordinates"
-            )
-        return Continuum("L-zone equation vanishes identically, b_R b_C != 0")
+        return Continuum(
+            f"{side}-zone equation vanishes identically, b_{other} b_C != 0"
+        )
 
     if b_c_zero:  # b_R b_L != 0
         mixed = (
@@ -348,7 +342,7 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
         )
         # Mixed combination is quadratic in the coefficients; scale its
         # zero test accordingly.
-        scale = 1.0 + max(abs(v) for v in iter_coefficients(system)) ** 2
+        scale = 1.0 + system.coefficient_scale() ** 2
         if abs(mixed) <= DISPATCH_TOL * scale:
             return Continuum(
                 "b_C = 0 with compatible affine inner equations: eliminated "
@@ -427,17 +421,15 @@ def conic_intersections(
         qb = 2.0 * m * k - 2.0 * A * m + 2.0 * B
         qc = k * k - 2.0 * A * k + A * A - B * B - K * C
         roots = _conic_roots(qa, qb, qc)
-        points = [(m * y3 + k, y3) for y3 in roots]
+        points = [(m * y3 + k, y3) for y3 in roots or ()]
     else:
         m, k = -p / q, -r / q  # y3 = m*y1 + k
         qa = 1.0 - m * m
         qb = -2.0 * A - 2.0 * m * k + 2.0 * B * m
         qc = A * A - k * k + 2.0 * B * k - B * B - K * C
         roots = _conic_roots(qa, qb, qc)
-        points = [(y1, m * y1 + k) for y1 in roots]
-    if roots is DEGENERATE_LINE:
-        return None
-    return points
+        points = [(y1, m * y1 + k) for y1 in roots or ()]
+    return None if roots is None else points
 
 
 def _solve_generic(system: PiecewiseSystem) -> ClosureOutcome:
@@ -472,19 +464,18 @@ def _solve_generic(system: PiecewiseSystem) -> ClosureOutcome:
     return best
 
 
-# Sentinel list identity: _conic_roots returns it when the substituted
-# quadratic vanishes identically (the whole line solves the conic).
-DEGENERATE_LINE: list[float] = []
+def _conic_roots(qa: float, qb: float, qc: float) -> Optional[list[float]]:
+    """Real roots of the substituted quadratic, with tangency clamping.
 
-
-def _conic_roots(qa: float, qb: float, qc: float) -> list[float]:
-    """Real roots of the substituted quadratic, with tangency clamping."""
+    None when the quadratic vanishes identically (the whole line solves the
+    conic).
+    """
     scale = max(abs(qa), abs(qb), abs(qc))
     if scale == 0.0 or scale <= CLAMP_TOL:
-        return DEGENERATE_LINE
+        return None
     if abs(qa) <= CLAMP_TOL * scale:
         if abs(qb) <= CLAMP_TOL * scale:
-            return DEGENERATE_LINE if abs(qc) <= CLAMP_TOL * scale else []
+            return None if abs(qc) <= CLAMP_TOL * scale else []
         return [-qc / qb]
     disc = qb * qb - 4.0 * qa * qc
     disc_scale = qb * qb + abs(4.0 * qa * qc)
@@ -502,9 +493,3 @@ def _conic_roots(qa: float, qb: float, qc: float) -> list[float]:
         return [r1]
     return [r1, r2]
 
-
-def swap_solution(
-    y0: float, y1: float, y2: float, y3: float
-) -> tuple[float, float, float, float]:
-    """The companion solution with both corner pairs exchanged."""
-    return (y1, y0, y3, y2)

@@ -10,7 +10,6 @@ invariant from scratch so a certificate can be audited after the fact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +21,12 @@ CLOSURE_TOL = 1e-8
 
 # Energy-matching residual allowed at a certified corner tuple.
 RESIDUAL_TOL = 1e-9
+
+# Relative energy drift allowed along a certified arc.
+ENERGY_DRIFT_TOL = 1e-9
+
+# Gap allowed between a certificate's period and its flight-time sum.
+PERIOD_SUM_TOL = 1e-12
 
 DEFAULT_SAMPLES_PER_ARC = 256
 
@@ -89,11 +94,7 @@ def certify(
     is not a transversal crossing, an arc fails to reach its target line, or
     the chained arcs do not close up.
     """
-    if system.layout.n_zones == 2:
-        outcome = closure.solve_two_zone(system)
-    else:
-        outcome = closure.solve_three_zone(system)
-
+    outcome = closure.solve(system)
     if isinstance(outcome, closure.NoSolution):
         return CertificationResult(outcome, None, f"no solution: {outcome.reason}")
     if isinstance(outcome, closure.Continuum):
@@ -180,11 +181,6 @@ def _build_certificate(
     )
 
 
-def cycle_period(certificate: CycleCertificate) -> float:
-    """Total traversal time: the sum of the four arc flight times."""
-    return sum(certificate.flight_times)
-
-
 def verify_certificate(
     certificate: CycleCertificate, system: PiecewiseSystem
 ) -> VerificationReport:
@@ -236,12 +232,14 @@ def verify_certificate(
         max_drift = max(max_drift, drift / (1.0 + abs(h0)))
     checks.append(CheckResult("arc_endpoints", max_gap <= CLOSURE_TOL,
                               max_gap, CLOSURE_TOL))
-    checks.append(CheckResult("arc_energy_constant", max_drift <= 1e-9,
-                              max_drift, 1e-9))
+    checks.append(CheckResult("arc_energy_constant",
+                              max_drift <= ENERGY_DRIFT_TOL,
+                              max_drift, ENERGY_DRIFT_TOL))
 
     period_gap = abs(certificate.period - sum(certificate.flight_times))
-    checks.append(CheckResult("period_is_time_sum", period_gap <= 1e-12,
-                              period_gap, 1e-12))
+    checks.append(CheckResult("period_is_time_sum",
+                              period_gap <= PERIOD_SUM_TOL,
+                              period_gap, PERIOD_SUM_TOL))
 
     if certificate.polyline:
         first, last = certificate.polyline[0], certificate.polyline[-1]
@@ -285,37 +283,51 @@ def certificate_to_json_dict(certificate: CycleCertificate) -> dict:
     }
 
 
-def certificate_from_json_dict(doc: dict) -> CycleCertificate:
-    """Rebuild a certificate (without polyline) from its JSON summary."""
-    corners = doc["corners"]
-    times = doc["flight_times"]
+def certificate_from_json_dict(doc: object) -> CycleCertificate:
+    """Rebuild a certificate (without polyline) from its JSON summary.
+
+    A malformed document raises ValueError naming the offending key.
+    """
+    corners = _member(doc, "certificate", "corners")
+    times = _member(doc, "certificate", "flight_times")
+    entries = _member(doc, "certificate", "crossings")
+    if not isinstance(entries, list):
+        raise ValueError("certificate.crossings must be a JSON array")
     crossings = tuple(
         flow.CrossingClassification(
-            entry["label"], entry["derivative_minus"], entry["derivative_plus"]
+            _member(entry, f"crossings[{i}]", "label"),
+            _number(entry, f"crossings[{i}]", "derivative_minus"),
+            _number(entry, f"crossings[{i}]", "derivative_plus"),
         )
-        for entry in doc["crossings"]
+        for i, entry in enumerate(entries)
+    )
+    y0, y1, y2, y3 = (
+        _number(corners, "corners", k) for k in ("y0", "y1", "y2", "y3")
+    )
+    t_r, t_c1, t_l, t_c2 = (
+        _number(times, "flight_times", k) for k in ("t_R", "t_C1", "t_L", "t_C2")
     )
     return CycleCertificate(
-        corners=(
-            (1.0, float(corners["y0"])),
-            (1.0, float(corners["y1"])),
-            (-1.0, float(corners["y2"])),
-            (-1.0, float(corners["y3"])),
-        ),
-        flight_times=(
-            float(times["t_R"]),
-            float(times["t_C1"]),
-            float(times["t_L"]),
-            float(times["t_C2"]),
-        ),
+        corners=((1.0, y0), (1.0, y1), (-1.0, y2), (-1.0, y3)),
+        flight_times=(t_r, t_c1, t_l, t_c2),
         crossings=crossings,
-        residual_norm=float(doc["residual_norm"]),
+        residual_norm=_number(doc, "certificate", "residual_norm"),
         polyline=(),
-        period=float(doc["period"]),
+        period=_number(doc, "certificate", "period"),
     )
 
 
-def certificate_to_json(certificate: CycleCertificate) -> str:
-    return json.dumps(
-        certificate_to_json_dict(certificate), indent=2, sort_keys=True
-    )
+def _member(doc: object, where: str, key: str) -> object:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} has no key {key!r}")
+    return doc[key]
+
+
+def _number(doc: object, where: str, key: str) -> float:
+    value = _member(doc, where, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}.{key} must be a number, not {value!r}") from None

@@ -137,10 +137,6 @@ def classify_boundary_point(
     return CrossingClassification(label, d_minus, d_plus)
 
 
-def _x_velocity(field: LinearHamiltonianField, p: Point) -> float:
-    return field.a * p[0] + field.b * p[1] + field.alpha
-
-
 def _required_arrival_sign(
     field: LinearHamiltonianField, p0: Point, s0: float, s1: float
 ) -> float:
@@ -151,7 +147,7 @@ def _required_arrival_sign(
     """
     if s0 != s1:
         return math.copysign(1.0, s1 - s0)
-    v0 = _x_velocity(field, p0)
+    v0 = vector_field_value(field, p0)[0]
     if abs(v0) <= TANGENCY_TOL:
         raise TangentialContact(
             "departure x-velocity vanishes; cannot orient the arc"
@@ -227,7 +223,7 @@ def _saddle_flight_time(
     if not times:
         raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
     for t in times:
-        vx = _x_velocity(field, flow_closed_form(field, p0, t))
+        vx = vector_field_value(field, flow_closed_form(field, p0, t))[0]
         if abs(vx) <= TANGENCY_TOL:
             raise TangentialContact(f"arrival at x = {s1:g} is tangential")
         if vx * required_sign > 0.0:

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Literal
 
 Point = tuple[float, float]
 
@@ -349,7 +349,3 @@ def load_system(path: str) -> PiecewiseSystem:
             raise SystemFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     return system_from_json_dict(doc)
 
-
-def iter_coefficients(system: PiecewiseSystem) -> Iterable[float]:
-    for f in system.fields:
-        yield from f.coefficients()

@@ -23,7 +23,6 @@ from pwlham.closure import (
     residuals_three_zone,
     solve_three_zone,
     solve_two_zone,
-    swap_solution,
 )
 from pwlham.cycle import find_limit_cycle
 from pwlham.flow import (
@@ -203,7 +202,7 @@ def test_criterion_6_at_most_one_and_swap_symmetry():
             r = residuals_three_zone(system, y0, y1, y2, y3)
             scale = 1.0 + max(abs(v) for v in (y0, y1, y2, y3)) ** 2
             assert r.max_abs() <= 1e-7 * scale
-            swapped = residuals_three_zone(system, *swap_solution(y0, y1, y2, y3))
+            swapped = residuals_three_zone(system, y1, y0, y3, y2)
             assert swapped.max_abs() <= 1e-7 * scale
             algebraic_solutions += 1
             if y1 < y0 and y2 < y3:

@@ -10,7 +10,6 @@ from pwlham.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     FIXTURE_NAMES,
-    RunConfig,
     bundle_examples,
     fixture_text,
     main,
@@ -218,10 +217,98 @@ def test_render_svg_rejects_empty_polyline(tmp_path):
         render_svg(Trajectory((), ()), None, tmp_path / "empty.svg")
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="solve", tol=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(command="solve", samples=1)
-    with pytest.raises(ValueError):
-        RunConfig(command="plot", window=(0.0, 0.0, 0.0, 1.0))
+def test_invalid_options_exit_2(ccc_path, tmp_path):
+    svg = str(tmp_path / "bad.svg")
+    for argv in (
+        ["plot", "--tol", "-1"],
+        ["oracle", "--tol", "nan"],
+        ["oracle", "--tol", "inf"],
+        ["plot", "--samples", "1"],
+        ["plot", "--window", "0,0,0,1"],
+        ["solve", "--tol", "1e-6"],  # solve has no tolerance to set
+    ):
+        try:
+            code = main([*argv, "--input", str(ccc_path), "--output", svg])
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+        assert code == EXIT_INPUT_ERROR, argv
+
+
+@pytest.mark.parametrize(
+    "tamper, bad_key",
+    [
+        (lambda doc: [1, 2], "certificate"),
+        (lambda doc: {**doc, "corners": None}, "corners"),
+        (lambda doc: {**doc, "crossings": [1, *doc["crossings"][1:]]}, "crossings[0]"),
+        (lambda doc: {**doc, "period": "soon"}, "period"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "flight_times"},
+         "flight_times"),
+    ],
+    ids=["root-array", "null-corners", "crossing-not-object", "text-period",
+         "no-flight-times"],
+)
+def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
+                                              tamper, bad_key):
+    cert_path = tmp_path / "cert.json"
+    main(["cycle", "--input", str(ccc_path), "--output", str(cert_path)])
+    cert_path.write_text(json.dumps(tamper(json.loads(cert_path.read_text()))))
+    code = main(["verify", "--input", str(ccc_path),
+                 "--certificate", str(cert_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert bad_key in capsys.readouterr().err
+
+
+# Generic zones beside one outer zone whose b and affine factor vanish.
+_GENERIC = {"a": "3/10", "b": "6/5", "c": "7/10", "alpha": "-2/5", "beta": "9/10"}
+_R_FLAT = {"a": "1", "b": "0", "c": "2", "alpha": "-1", "beta": "1/2"}
+_L_FLAT = {"a": "1", "b": "0", "c": "2", "alpha": "1", "beta": "1/2"}
+_C_COLLAPSE = {"a": "1", "b": "0", "c": "-3/2", "alpha": "1", "beta": "1/5"}
+_C_AFFINE = {"a": "1", "b": "0", "c": "-3/2", "alpha": "2", "beta": "1/5"}
+_C_CURVED = {"a": "1/10", "b": "2", "c": "-3/2", "alpha": "4/5", "beta": "1/5"}
+
+
+@pytest.mark.parametrize(
+    "zones, expected",
+    [
+        ((_GENERIC, _C_COLLAPSE, _R_FLAT), {
+            "outcome": "no_solution",
+            "reason": "b_R = a_R + alpha_R = b_C = alpha_C - a_C = 0 with "
+                      "b_L != 0: corners collapse",
+        }),
+        ((_L_FLAT, _C_COLLAPSE, _GENERIC), {
+            "outcome": "no_solution",
+            "reason": "b_L = a_L - alpha_L = b_C = alpha_C - a_C = 0 with "
+                      "b_R != 0: corners collapse",
+        }),
+        ((_GENERIC, _C_AFFINE, _R_FLAT), {
+            "outcome": "continuum",
+            "description": "R-zone equation vanishes, inner equations affine "
+                           "in the free ordinates",
+            "has_parametrization": False,
+        }),
+        ((_L_FLAT, _C_AFFINE, _GENERIC), {
+            "outcome": "continuum",
+            "description": "L-zone equation vanishes, inner equations affine "
+                           "in the free ordinates",
+            "has_parametrization": False,
+        }),
+        ((_GENERIC, _C_CURVED, _R_FLAT), {
+            "outcome": "continuum",
+            "description": "R-zone equation vanishes identically, b_L b_C != 0",
+            "has_parametrization": False,
+        }),
+        ((_L_FLAT, _C_CURVED, _GENERIC), {
+            "outcome": "continuum",
+            "description": "L-zone equation vanishes identically, b_R b_C != 0",
+            "has_parametrization": False,
+        }),
+    ],
+    ids=["R-collapse", "L-collapse", "R-affine", "L-affine", "R-vanishes",
+         "L-vanishes"],
+)
+def test_solve_one_vanishing_outer_zone(tmp_path, zones, expected):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"layout": "three", "zones": list(zones)}))
+    out = tmp_path / "solve.json"
+    assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == expected

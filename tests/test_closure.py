@@ -18,6 +18,7 @@ from pwlham.closure import (
     hyperbola_coefficients,
     residuals_three_zone,
     residuals_two_zone,
+    solve,
     solve_three_zone,
     solve_two_zone,
 )
@@ -228,6 +229,7 @@ def test_solve_three_zone_golden_tuples(examples):
     for name in ("CCC", "SCS"):
         out = solve_three_zone(examples[name])
         assert isinstance(out, UniqueCycleCandidate)
+        assert solve(examples[name]) == out
         for got, want in zip(out.as_tuple(), GOLDEN_CORNERS[name]):
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -444,6 +446,7 @@ def test_solve_two_zone_degenerate_no_solution():
     )
     out = solve_two_zone(system)
     assert isinstance(out, NoSolution)
+    assert solve(system) == out
 
 
 def test_solve_two_zone_fully_degenerate_continuum():

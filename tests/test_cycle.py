@@ -11,10 +11,8 @@ import pytest
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
     certificate_from_json_dict,
-    certificate_to_json,
     certificate_to_json_dict,
     certify,
-    cycle_period,
     find_limit_cycle,
     verify_certificate,
 )
@@ -124,9 +122,10 @@ def test_certificates_persist_under_small_perturbations(examples):
 
 def test_cycle_period_is_time_sum(ccc):
     cert = find_limit_cycle(ccc)
-    assert cycle_period(cert) == pytest.approx(sum(cert.flight_times), abs=1e-15)
+    assert cert.period == pytest.approx(sum(cert.flight_times), abs=1e-15)
     uniform = dataclasses.replace(cert, flight_times=(0.3, 0.3, 0.3, 0.3))
-    assert cycle_period(uniform) == pytest.approx(1.2, abs=1e-15)
+    failed = {c.name for c in verify_certificate(uniform, ccc).failures()}
+    assert "period_is_time_sum" in failed
 
 
 def test_verification_passes_for_fresh_certificates(examples):
@@ -175,9 +174,13 @@ def test_rejection_reason_for_non_crossing_candidate():
 # --- JSON serialization -----------------------------------------------------------
 
 
+def _certificate_json(cert):
+    return json.dumps(certificate_to_json_dict(cert), indent=2, sort_keys=True)
+
+
 def test_certificate_json_round_trip(ccc):
     cert = find_limit_cycle(ccc)
-    doc = json.loads(certificate_to_json(cert))
+    doc = json.loads(_certificate_json(cert))
     again = certificate_from_json_dict(doc)
     assert again.corners == cert.corners
     assert again.flight_times == cert.flight_times
@@ -189,8 +192,8 @@ def test_certificate_json_round_trip(ccc):
 
 def test_certificate_json_is_sorted_and_stable(ccc):
     cert = find_limit_cycle(ccc)
-    text1 = certificate_to_json(cert)
-    text2 = certificate_to_json(find_limit_cycle(ccc))
+    text1 = _certificate_json(cert)
+    text2 = _certificate_json(find_limit_cycle(ccc))
     assert text1 == text2
     doc = certificate_to_json_dict(cert)
     assert list(json.loads(text1)) == sorted(doc.keys())
