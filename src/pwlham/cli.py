@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import closure, cycle, poincare
 from .cycle import CycleCertificate
 from .model import (
+    THREE_ZONE,
     PiecewiseSystem,
     is_continuous,
     load_system,
@@ -95,7 +96,7 @@ def render_svg(
         lines = list(system.layout.switching_lines)
         singular = [info.location for _, info, _ in singular_points_in_zone(system)]
     else:
-        lines = [("L", -1.0), ("R", 1.0)]
+        lines = list(THREE_ZONE.switching_lines)
         singular = []
 
     if window is None:
@@ -157,8 +158,7 @@ def render_svg(
                 f'fill="white" stroke="#b03030" stroke-width="1.2"/>'
             )
 
-    corner_names = ("(1, y0)", "(1, y1)", "(-1, y2)", "(-1, y3)")
-    for (cx, cy), name in zip(corners, corner_names):
+    for (cx, cy), key in zip(corners, cycle.CORNER_KEYS):
         parts.append(
             f'<circle cx="{px(cx):.3f}" cy="{py(cy):.3f}" r="3" '
             f'fill="#1f5fbf"/>'
@@ -168,7 +168,7 @@ def render_svg(
         parts.append(
             f'<text x="{px(cx) + anchor_dx:.3f}" y="{py(cy) - 6.0:.3f}" '
             f'font-family="sans-serif" font-size="13" fill="#202020" '
-            f'text-anchor="{anchor}">{name}</text>'
+            f'text-anchor="{anchor}">({cx:g}, {key})</text>'
         )
 
     parts.append("</svg>")
@@ -218,7 +218,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _emit_json(
         args,
         {
-            "layout": "two" if system.layout.n_zones == 2 else "three",
+            "layout": system.layout.name,
             "continuous": continuous,
             "continuity_violations": violations,
             "zones": zones,
@@ -231,12 +231,7 @@ def _outcome_payload(outcome: closure.ClosureOutcome) -> dict:
     if isinstance(outcome, closure.UniqueCycleCandidate):
         return {
             "outcome": "unique_candidate",
-            "corners": {
-                "y0": outcome.y0,
-                "y1": outcome.y1,
-                "y2": outcome.y2,
-                "y3": outcome.y3,
-            },
+            "corners": dict(zip(cycle.CORNER_KEYS, outcome.as_tuple())),
         }
     if isinstance(outcome, closure.NoSolution):
         return {"outcome": "no_solution", "reason": outcome.reason}
@@ -274,7 +269,8 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    result = cycle.certify(system)
+    # Only the corners and the period are read: skip the polyline.
+    result = cycle.certify(system, samples_per_arc=2)
     if result.certificate is None:
         _emit_json(
             args,

@@ -142,7 +142,7 @@ def residuals_three_zone(
 
 
 def _dispatch_tol(system: PiecewiseSystem) -> float:
-    return DISPATCH_TOL * (1.0 + system.coefficient_scale())
+    return DISPATCH_TOL * (1.0 + system.coefficient_scale)
 
 
 def eliminate_outer(
@@ -342,7 +342,7 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
         )
         # Mixed combination is quadratic in the coefficients; scale its
         # zero test accordingly.
-        scale = 1.0 + system.coefficient_scale() ** 2
+        scale = 1.0 + system.coefficient_scale ** 2
         if abs(mixed) <= DISPATCH_TOL * scale:
             return Continuum(
                 "b_C = 0 with compatible affine inner equations: eliminated "

@@ -10,11 +10,12 @@ invariant from scratch so a certificate can be audited after the fact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import closure, flow
-from .model import PiecewiseSystem, Point, hamiltonian_value
+from .model import THREE_ZONE, PiecewiseSystem, Point, hamiltonian_value
 
 # Position mismatch allowed when chaining arc endpoints to corners.
 CLOSURE_TOL = 1e-8
@@ -29,6 +30,27 @@ ENERGY_DRIFT_TOL = 1e-9
 PERIOD_SUM_TOL = 1e-12
 
 DEFAULT_SAMPLES_PER_ARC = 256
+
+# The cycle's shape.  Corner k has ordinate CORNER_KEYS[k] on switching line
+# CORNER_LINES[k]; arc k runs through zone ARC_ZONES[k] from corner k to
+# corner k + 1 (mod 4) and takes flight time TIME_KEYS[k].
+CORNER_KEYS = ("y0", "y1", "y2", "y3")
+CORNER_LINES = ("R", "R", "L", "L")
+ARC_ZONES = ("R", "C", "L", "C")
+TIME_KEYS = ("t_R", "t_C1", "t_L", "t_C2")
+
+
+def _corner_points(ordinates) -> tuple[Point, Point, Point, Point]:
+    """The corners (1, y0), (1, y1), (-1, y2), (-1, y3) of a cycle."""
+    return tuple(
+        (THREE_ZONE.line_position(line_id), y)
+        for line_id, y in zip(CORNER_LINES, ordinates)
+    )
+
+
+def _arcs(system: PiecewiseSystem, corners):
+    """(zone field, start corner, end corner) of each arc, in traversal order."""
+    return zip(map(system.field, ARC_ZONES), corners, corners[1:] + corners[:1])
 
 
 @dataclass(frozen=True)
@@ -118,17 +140,11 @@ def _build_certificate(
     candidate: closure.UniqueCycleCandidate,
     samples_per_arc: int,
 ) -> CycleCertificate:
-    y0, y1, y2, y3 = candidate.as_tuple()
-    corners: tuple[Point, Point, Point, Point] = (
-        (1.0, y0),
-        (1.0, y1),
-        (-1.0, y2),
-        (-1.0, y3),
-    )
-    corner_lines = ("R", "R", "L", "L")
+    ordinates = candidate.as_tuple()
+    corners = _corner_points(ordinates)
 
     crossings = []
-    for corner, line_id in zip(corners, corner_lines):
+    for corner, line_id in zip(corners, CORNER_LINES):
         cls = flow.classify_boundary_point(system, corner, line_id)
         if cls.label != "crossing":
             raise _CandidateRejected(
@@ -137,21 +153,14 @@ def _build_certificate(
             )
         crossings.append(cls)
 
-    lf, cf, rf = system.fields
-    arcs = (
-        (rf, corners[0], 1.0, corners[1]),   # R-zone return arc
-        (cf, corners[1], -1.0, corners[2]),  # upper-to-left C arc
-        (lf, corners[2], -1.0, corners[3]),  # L-zone return arc
-        (cf, corners[3], 1.0, corners[0]),   # left-to-right C arc
-    )
     times = []
     polyline: list[Point] = []
-    for field, start, target_x, end in arcs:
+    for field, start, end in _arcs(system, corners):
         try:
-            t = flow.flight_time(field, start, target_x)
+            t = flow.flight_time(field, start, end[0])
         except (flow.NeverReaches, flow.TangentialContact) as exc:
             raise _CandidateRejected(
-                f"arc from {start} toward x = {target_x:g} is not "
+                f"arc from {start} toward x = {end[0]:g} is not "
                 f"realizable: {exc}"
             ) from exc
         landing = flow.flow_closed_form(field, start, t)
@@ -165,7 +174,7 @@ def _build_certificate(
         polyline.extend(samples if not polyline else samples[1:])
         times.append(t)
 
-    residual_norm = closure.residuals_three_zone(system, y0, y1, y2, y3).max_abs()
+    residual_norm = closure.residuals_three_zone(system, *ordinates).max_abs()
     if residual_norm > RESIDUAL_TOL:
         raise _CandidateRejected(
             f"closure residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}"
@@ -173,7 +182,7 @@ def _build_certificate(
 
     return CycleCertificate(
         corners=corners,
-        flight_times=(times[0], times[1], times[2], times[3]),
+        flight_times=tuple(times),
         crossings=tuple(crossings),
         residual_norm=residual_norm,
         polyline=tuple(polyline),
@@ -188,8 +197,7 @@ def verify_certificate(
     if system.layout.n_zones != 3:
         raise ValueError("certificates only exist for three-zone systems")
     checks: list[CheckResult] = []
-    (c0, c1, c2, c3) = certificate.corners
-    y0, y1, y2, y3 = c0[1], c1[1], c2[1], c3[1]
+    y0, y1, y2, y3 = (corner[1] for corner in certificate.corners)
 
     residual = closure.residuals_three_zone(system, y0, y1, y2, y3).max_abs()
     checks.append(CheckResult("closure_residuals", residual <= RESIDUAL_TOL,
@@ -198,12 +206,12 @@ def verify_certificate(
     ordering = min(y0 - y1, y3 - y2)
     checks.append(CheckResult("corner_ordering", ordering > 0.0, ordering, 0.0))
 
-    worst_product = float("inf")
-    all_crossing = True
-    for corner, line_id in zip(certificate.corners, ("R", "R", "L", "L")):
-        cls = flow.classify_boundary_point(system, corner, line_id)
-        worst_product = min(worst_product, cls.product)
-        all_crossing = all_crossing and cls.label == "crossing"
+    crossings = [
+        flow.classify_boundary_point(system, corner, line_id)
+        for corner, line_id in zip(certificate.corners, CORNER_LINES)
+    ]
+    worst_product = min(cls.product for cls in crossings)
+    all_crossing = all(cls.label == "crossing" for cls in crossings)
     checks.append(CheckResult("corners_crossing",
                               all_crossing and worst_product > 0.0,
                               worst_product, 0.0))
@@ -212,13 +220,10 @@ def verify_certificate(
     checks.append(CheckResult("flight_times_positive", min_time > 0.0,
                               min_time, 0.0))
 
-    lf, cf, rf = system.fields
-    arc_fields = (rf, cf, lf, cf)
-    arc_targets = (c1, c2, c3, c0)
     max_gap = 0.0
     max_drift = 0.0
-    for field, start, t, target in zip(
-        arc_fields, certificate.corners, certificate.flight_times, arc_targets
+    for (field, start, target), t in zip(
+        _arcs(system, certificate.corners), certificate.flight_times
     ):
         if t <= 0.0:
             max_gap = float("inf")
@@ -247,6 +252,18 @@ def verify_certificate(
         checks.append(CheckResult("polyline_closed", gap <= CLOSURE_TOL,
                                   gap, CLOSURE_TOL))
 
+    # The stored crossings and residual norm must be the re-derived ones; a
+    # changed label, a missing crossing or a NaN counts as an infinite gap.
+    recorded = certificate.crossings
+    gaps = [abs(certificate.residual_norm - residual)]
+    for r, c in zip(recorded, crossings):
+        gaps += [abs(r.derivative_minus - c.derivative_minus),
+                 abs(r.derivative_plus - c.derivative_plus)]
+    same_labels = [r.label for r in recorded] == [c.label for c in crossings]
+    mismatch = max(gaps) if same_labels and not any(map(math.isnan, gaps)) else math.inf
+    checks.append(CheckResult("recorded_values_match", mismatch <= CLOSURE_TOL,
+                              mismatch, CLOSURE_TOL))
+
     return VerificationReport(tuple(checks))
 
 
@@ -257,26 +274,18 @@ def certificate_to_json_dict(certificate: CycleCertificate) -> dict:
     """Serializable summary: corners, times, crossing products, period."""
     return {
         "corners": {
-            "y0": certificate.corners[0][1],
-            "y1": certificate.corners[1][1],
-            "y2": certificate.corners[2][1],
-            "y3": certificate.corners[3][1],
+            key: corner[1] for key, corner in zip(CORNER_KEYS, certificate.corners)
         },
-        "flight_times": {
-            "t_R": certificate.flight_times[0],
-            "t_C1": certificate.flight_times[1],
-            "t_L": certificate.flight_times[2],
-            "t_C2": certificate.flight_times[3],
-        },
+        "flight_times": dict(zip(TIME_KEYS, certificate.flight_times)),
         "crossings": [
             {
-                "corner": ["y0", "y1", "y2", "y3"][i],
+                "corner": key,
                 "derivative_minus": c.derivative_minus,
                 "derivative_plus": c.derivative_plus,
                 "product": c.product,
                 "label": c.label,
             }
-            for i, c in enumerate(certificate.crossings)
+            for key, c in zip(CORNER_KEYS, certificate.crossings)
         ],
         "period": certificate.period,
         "residual_norm": certificate.residual_norm,
@@ -301,15 +310,9 @@ def certificate_from_json_dict(doc: object) -> CycleCertificate:
         )
         for i, entry in enumerate(entries)
     )
-    y0, y1, y2, y3 = (
-        _number(corners, "corners", k) for k in ("y0", "y1", "y2", "y3")
-    )
-    t_r, t_c1, t_l, t_c2 = (
-        _number(times, "flight_times", k) for k in ("t_R", "t_C1", "t_L", "t_C2")
-    )
     return CycleCertificate(
-        corners=((1.0, y0), (1.0, y1), (-1.0, y2), (-1.0, y3)),
-        flight_times=(t_r, t_c1, t_l, t_c2),
+        corners=_corner_points([_number(corners, "corners", k) for k in CORNER_KEYS]),
+        flight_times=tuple(_number(times, "flight_times", k) for k in TIME_KEYS),
         crossings=crossings,
         residual_norm=_number(doc, "certificate", "residual_norm"),
         polyline=(),

@@ -27,7 +27,6 @@ from .model import (
     LinearHamiltonianField,
     PiecewiseSystem,
     Point,
-    classify_singularity,
     vector_field_value,
 )
 
@@ -86,7 +85,7 @@ def flow_closed_form(field: LinearHamiltonianField, p0: Point, t: float) -> Poin
     """Exact zone flow of p0 by time t (t may be negative)."""
     if t == 0.0:
         return p0
-    info = classify_singularity(field)
+    info = field.singularity
     px, py = info.location
     dx, dy = p0[0] - px, p0[1] - py
     m = info.modulus
@@ -156,7 +155,7 @@ def _required_arrival_sign(
 
 
 def _center_flight_time(
-    field: LinearHamiltonianField, p0: Point, s1: float, required_sign: float
+    u: float, v: float, d: float, w: float, s1: float, required_sign: float
 ) -> float:
     """Smallest positive root of x(t) = s1 with the required x-velocity sign.
 
@@ -165,14 +164,7 @@ def _center_flight_time(
     x'(t) <= 0 and the other x'(t) >= 0, so the required sign selects one
     family and the smallest positive representative is the answer.
     """
-    info = classify_singularity(field)
-    px, py = info.location
-    w = info.modulus
-    dx, dy = p0[0] - px, p0[1] - py
-    u = dx
-    v = (field.a * dx + field.b * dy) / w
     radius = math.hypot(u, v)
-    d = s1 - px
     if radius <= TANGENCY_TOL or abs(d) > radius * (1.0 + 1e-14) + TANGENCY_TOL:
         raise NeverReaches(f"orbit x-range misses the line x = {s1:g}")
     cos_arg = max(-1.0, min(1.0, d / radius))
@@ -191,29 +183,18 @@ def _center_flight_time(
 
 
 def _saddle_flight_time(
-    field: LinearHamiltonianField,
-    p0: Point,
-    s0: float,
-    s1: float,
-    required_sign: float,
+    field: LinearHamiltonianField, p0: Point, u: float, v: float, d: float,
+    lam: float, s1: float, required_sign: float,
 ) -> float:
     """Saddle-zone analogue via the substitution w = exp(l t).
 
-    x(t) - s1 = 0 becomes the quadratic (u+v) w^2 - 2 d w + (u-v) = 0 with
-    u, v the cosh/sinh coefficients and d = s1 - px.  Admissible roots have
-    w > 1 (t > 0); when the start already sits on the target line, w = 1 is
-    a root and is deflated out exactly.
+    With u, v, d as in flight_time, x(t) - s1 = 0 becomes the quadratic
+    (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0);
+    when the start already sits on the target line, w = 1 is a root and is
+    deflated out exactly.
     """
-    info = classify_singularity(field)
-    px, py = info.location
-    lam = info.modulus
-    dx, dy = p0[0] - px, p0[1] - py
-    u = dx
-    v = (field.a * dx + field.b * dy) / lam
-    d = s1 - px
-
     roots: list[float]
-    if s0 == s1 and p0[0] == s1:
+    if p0[0] == s1:
         # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
         roots = [] if u + v == 0.0 else [(u - v) / (u + v)]
     else:
@@ -263,10 +244,17 @@ def flight_time(
     """
     s0, s1 = p0[0], float(target_x)
     required_sign = _required_arrival_sign(field, p0, s0, s1)
-    if field.linear_determinant() < 0.0:
-        t = _center_flight_time(field, p0, s1, required_sign)
+    # Phase coordinates: x(t) - px = u cos(w t) + v sin(w t) for a center,
+    # u cosh(l t) + v sinh(l t) for a saddle; the target is at px + d.
+    info = field.singularity
+    px, py = info.location
+    u, dy = p0[0] - px, p0[1] - py
+    v = (field.a * u + field.b * dy) / info.modulus
+    d = s1 - px
+    if info.kind == "center":
+        t = _center_flight_time(u, v, d, info.modulus, s1, required_sign)
     else:
-        t = _saddle_flight_time(field, p0, s0, s1, required_sign)
+        t = _saddle_flight_time(field, p0, u, v, d, info.modulus, s1, required_sign)
     t_refined = refine_flight_time(field, p0, s1, t)
     if abs(t - t_refined) > CROSS_CHECK_TOL * (1.0 + abs(t)):
         raise ArithmeticError(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
@@ -70,66 +71,68 @@ class LinearHamiltonianField:
     def coefficients(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.alpha, self.beta)
 
+    @cached_property
+    def singularity(self) -> "SingularKind":
+        """Type, modulus and location of the singular point, derived once."""
+        return classify_singularity(self)
+
 
 @dataclass(frozen=True)
 class ZoneLayout:
-    """Vertical-strip decomposition of the plane.
+    """Vertical-strip decomposition of the plane, stated as a table.
 
-    Two zones:   L = {x < 0}, R = {x > 0}, one line "C" at x = 0.
-    Three zones: L = {x < -1}, C = {-1 < x < 1}, R = {x > 1},
-                 lines "L" at x = -1 and "R" at x = 1.
+    ``zone_ids`` lists the zones from left to right and ``switching_lines``
+    the (line id, abscissa) pairs between them, in increasing abscissa: zone
+    i lies between lines i - 1 and i, and the outermost zones are unbounded.
+
+    Two zones ("two"):     L = {x < 0}, R = {x > 0}, one line "C" at x = 0.
+    Three zones ("three"): L = {x < -1}, C = {-1 < x < 1}, R = {x > 1},
+                           lines "L" at x = -1 and "R" at x = 1.
     """
 
-    n_zones: int
-
-    def __post_init__(self) -> None:
-        if self.n_zones not in (2, 3):
-            raise LayoutError(f"unsupported zone count {self.n_zones}")
+    name: str
+    zone_ids: tuple[str, ...]
+    switching_lines: tuple[tuple[str, float], ...]
 
     @property
-    def zone_ids(self) -> tuple[str, ...]:
-        return ("L", "R") if self.n_zones == 2 else ("L", "C", "R")
+    def n_zones(self) -> int:
+        return len(self.zone_ids)
 
-    @property
-    def switching_lines(self) -> tuple[tuple[str, float], ...]:
-        """Ordered (line id, abscissa) pairs."""
-        if self.n_zones == 2:
-            return (("C", 0.0),)
-        return (("L", -1.0), ("R", 1.0))
+    @cached_property
+    def _lines(self) -> dict[str, tuple[float, str, str]]:
+        """line id -> (abscissa, zone on the x < line side, zone on the x > side)."""
+        return {
+            line_id: (x, *self.zone_ids[i : i + 2])
+            for i, (line_id, x) in enumerate(self.switching_lines)
+        }
+
+    @cached_property
+    def _intervals(self) -> dict[str, tuple[float, float]]:
+        inf = float("inf")
+        edges = (-inf, *(x for _, x in self.switching_lines), inf)
+        return {zone_id: edges[i : i + 2] for i, zone_id in enumerate(self.zone_ids)}
 
     def line_position(self, line_id: str) -> float:
-        for lid, x in self.switching_lines:
-            if lid == line_id:
-                return x
-        raise LayoutError(f"no switching line {line_id!r} in this layout")
+        return _lookup(self._lines, line_id, "switching line")[0]
 
     def zones_beside(self, line_id: str) -> tuple[str, str]:
         """Zone ids on the (x < line, x > line) sides of a switching line."""
-        if self.n_zones == 2:
-            if line_id != "C":
-                raise LayoutError(f"no switching line {line_id!r} in this layout")
-            return ("L", "R")
-        if line_id == "L":
-            return ("L", "C")
-        if line_id == "R":
-            return ("C", "R")
-        raise LayoutError(f"no switching line {line_id!r} in this layout")
+        return _lookup(self._lines, line_id, "switching line")[1:]
 
     def zone_interval(self, zone_id: str) -> tuple[float, float]:
         """Open x-interval of a zone's strip."""
-        inf = float("inf")
-        if self.n_zones == 2:
-            intervals = {"L": (-inf, 0.0), "R": (0.0, inf)}
-        else:
-            intervals = {"L": (-inf, -1.0), "C": (-1.0, 1.0), "R": (1.0, inf)}
-        try:
-            return intervals[zone_id]
-        except KeyError:
-            raise LayoutError(f"no zone {zone_id!r} in this layout") from None
+        return _lookup(self._intervals, zone_id, "zone")
 
 
-TWO_ZONE = ZoneLayout(2)
-THREE_ZONE = ZoneLayout(3)
+def _lookup(table: dict, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise LayoutError(f"no {what} {key!r} in this layout") from None
+
+
+TWO_ZONE = ZoneLayout("two", ("L", "R"), (("C", 0.0),))
+THREE_ZONE = ZoneLayout("three", ("L", "C", "R"), (("L", -1.0), ("R", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,7 @@ class PiecewiseSystem:
     def field(self, zone_id: str) -> LinearHamiltonianField:
         return self.fields[self.layout.zone_ids.index(zone_id)]
 
+    @cached_property
     def coefficient_scale(self) -> float:
         """Largest coefficient magnitude; used for scale-aware tolerances."""
         return max(abs(v) for f in self.fields for v in f.coefficients())
@@ -211,8 +215,6 @@ def classify_singularity(field: LinearHamiltonianField) -> SingularKind:
     point solves M p = -(alpha, beta).
     """
     det = field.linear_determinant()
-    if abs(det) <= NONDEGENERACY_TOL:
-        raise DegenerateField("cannot classify a degenerate field")
     px = (-field.a * field.alpha - field.b * field.beta) / det
     py = (-field.c * field.alpha + field.a * field.beta) / det
     if det < 0.0:
@@ -263,8 +265,8 @@ def singular_points_in_zone(
     outside (strict inequalities).
     """
     report = []
-    for zone_id in system.layout.zone_ids:
-        info = classify_singularity(system.field(zone_id))
+    for zone_id, field in zip(system.layout.zone_ids, system.fields):
+        info = field.singularity
         lo, hi = system.layout.zone_interval(zone_id)
         inside = lo < info.location[0] < hi
         report.append((zone_id, info, inside))
@@ -285,17 +287,21 @@ class SystemFormatError(ValueError):
 
 
 def coefficient_from_json(value: object, where: str = "coefficient") -> float:
-    """Parse a number or an exact rational string "p/q" into a float."""
+    """Parse a number or an exact rational string "p/q" into a finite float."""
     if isinstance(value, bool):
         raise SystemFormatError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SystemFormatError(f"{where}: bad rational {value!r}") from exc
-    raise SystemFormatError(f"{where}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        kind = type(value).__name__
+        raise SystemFormatError(f"{where}: expected a number, got {kind}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemFormatError(f"{where}: bad rational {value!r}") from exc
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SystemFormatError(f"{where}: {value!r} is not a finite number")
+    return number
 
 
 def system_from_json_dict(doc: object) -> PiecewiseSystem:
@@ -334,7 +340,7 @@ def system_from_json_dict(doc: object) -> PiecewiseSystem:
 
 def system_to_json_dict(system: PiecewiseSystem) -> dict:
     return {
-        "layout": "two" if system.layout.n_zones == 2 else "three",
+        "layout": system.layout.name,
         "zones": [
             {k: getattr(f, k) for k in _COEF_KEYS} for f in system.fields
         ],

@@ -93,9 +93,7 @@ def _base_step(system: PiecewiseSystem, tol: float) -> float:
     Global RK4 error scales like h^4, so h ~ tol^(1/4); the cap keeps the
     per-step rotation/growth angle modest in stiff-ish zones.
     """
-    fastest = max(
-        math.sqrt(abs(f.linear_determinant())) for f in system.fields
-    )
+    fastest = max(f.singularity.modulus for f in system.fields)
     return min(0.5 * tol ** 0.25, 0.2 / max(fastest, 1e-6))
 
 
@@ -119,15 +117,6 @@ def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
     raise ValueError(f"point {p} belongs to no zone")
 
 
-def _zone_lines(system: PiecewiseSystem, zone_id: str) -> list[tuple[str, float]]:
-    lo, hi = system.layout.zone_interval(zone_id)
-    return [
-        (line_id, x)
-        for line_id, x in system.layout.switching_lines
-        if x in (lo, hi)
-    ]
-
-
 def integrate_numeric(
     system: PiecewiseSystem,
     x0: Point,
@@ -147,6 +136,13 @@ def integrate_numeric(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     zone = _initial_zone(system, x0)
+    # Per zone: its field and the lines bounding its strip (zone i lies
+    # between lines i - 1 and i).
+    lines = system.layout.switching_lines
+    zone_table = {
+        zone_id: (system.fields[i], lines[max(i - 1, 0) : i + 1])
+        for i, zone_id in enumerate(system.layout.zone_ids)
+    }
     h_base = _base_step(system, tol)
     h_event = h_base / 64.0
 
@@ -156,8 +152,7 @@ def integrate_numeric(
     events: list[SwitchEvent] = []
 
     while t < t_max:
-        field = system.field(zone)
-        lines = _zone_lines(system, zone)
+        field, zone_lines = zone_table[zone]
         h = min(h_base, t_max - t)
         if t + h == t:
             break  # remaining budget is below the float resolution of t
@@ -165,7 +160,7 @@ def integrate_numeric(
         while True:
             p_next = _rk4_step(field, p, h)
             crossing_line = None
-            for line_id, line_x in lines:
+            for line_id, line_x in zone_lines:
                 g_end = p_next[0] - line_x
                 # g_end == 0 exactly: the step lands on the line; localize
                 # it as an event rather than silently stepping past.

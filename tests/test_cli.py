@@ -134,6 +134,23 @@ def test_verify_command_catches_tampering(ccc_path, tmp_path):
     assert code == 1
 
 
+def test_verify_command_checks_recorded_values(ccc_path, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    main(["cycle", "--input", str(ccc_path), "--output", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    for crossing in doc["crossings"]:
+        crossing["label"] = "sliding"
+    doc["residual_norm"] = 123
+    cert_path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--input", str(ccc_path),
+                 "--certificate", str(cert_path), "--output", str(out)])
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"]
+              if not c["passed"]]
+    assert failed == ["recorded_values_match"]
+
+
 def test_plot_command_is_deterministic(ccc_path, tmp_path):
     svg_a = tmp_path / "a.svg"
     svg_b = tmp_path / "b.svg"
@@ -175,6 +192,17 @@ def test_malformed_json_is_input_error(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"layout": "three", "zones": []}))
     assert main(["solve", "--input", str(schema)]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400", '"1e400"'])
+def test_non_finite_coefficient_is_input_error(tmp_path, capsys, token):
+    path = tmp_path / "nonfinite.json"
+    text = fixture_text("CCC")
+    doc = json.loads(text)
+    doc["zones"][1]["b"] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == EXIT_INPUT_ERROR
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_round_trip_solve_is_identical(ccc_path, tmp_path):

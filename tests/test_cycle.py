@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from pwlham import model
+from pwlham.cli import fixture_text
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
     certificate_from_json_dict,
@@ -153,6 +155,17 @@ def test_verification_rejects_negated_flight_time(ccc):
     assert any(c.name == "flight_times_positive" for c in report.failures())
 
 
+def test_certify_classifies_each_zone_field_once(monkeypatch):
+    calls = []
+    classify = model.classify_singularity
+    monkeypatch.setattr(
+        model, "classify_singularity", lambda f: calls.append(f) or classify(f)
+    )
+    system = model.system_from_json_dict(json.loads(fixture_text("CCC")))
+    assert certify(system).certificate is not None
+    assert len(calls) == 3
+
+
 def test_rejection_reason_for_non_crossing_candidate():
     """An algebraically valid tuple whose corners are not all crossings is
     rejected with a diagnostic rather than certified."""
@@ -197,3 +210,48 @@ def test_certificate_json_is_sorted_and_stable(ccc):
     assert text1 == text2
     doc = certificate_to_json_dict(cert)
     assert list(json.loads(text1)) == sorted(doc.keys())
+
+
+def _tampered(cert, **changes):
+    """A certificate re-read from its JSON summary after editing it."""
+    doc = json.loads(_certificate_json(cert))
+    doc.update(changes)
+    return certificate_from_json_dict(doc)
+
+
+def _recorded_check(cert, system):
+    report = verify_certificate(cert, system)
+    (check,) = [c for c in report.checks if c.name == "recorded_values_match"]
+    return report, check
+
+
+def test_verification_rejects_edited_recorded_values(ccc):
+    cert = find_limit_cycle(ccc)
+    report, check = _recorded_check(_tampered(cert), ccc)
+    assert report.passed and check.measured == 0.0
+
+    doc = json.loads(_certificate_json(cert))
+    sliding = [{**c, "label": "sliding"} for c in doc["crossings"]]
+    report, check = _recorded_check(
+        _tampered(cert, crossings=sliding, residual_norm=123.0), ccc
+    )
+    assert not report.passed
+    assert [c.name for c in report.failures()] == ["recorded_values_match"]
+    assert check.measured == float("inf")
+
+    _, check = _recorded_check(_tampered(cert, residual_norm=123.0), ccc)
+    assert not check.passed
+    assert check.measured == pytest.approx(123.0, abs=1e-8)
+
+    shifted = [dict(c) for c in doc["crossings"]]
+    shifted[2]["derivative_plus"] += 1e-3
+    _, check = _recorded_check(_tampered(cert, crossings=shifted), ccc)
+    assert not check.passed
+    assert check.measured == pytest.approx(1e-3, rel=1e-6)
+
+    _, check = _recorded_check(_tampered(cert, crossings=shifted[:3]), ccc)
+    assert check.measured == float("inf")
+
+    shifted[0]["derivative_minus"] = float("nan")
+    _, check = _recorded_check(_tampered(cert, crossings=shifted), ccc)
+    assert check.measured == float("inf")

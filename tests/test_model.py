@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pwlham.model import (
+    THREE_ZONE,
+    TWO_ZONE,
     DegenerateField,
+    LayoutError,
     LinearHamiltonianField,
     PiecewiseSystem,
     SystemFormatError,
@@ -144,6 +147,39 @@ def test_degenerate_field_rejected_at_construction():
         LinearHamiltonianField(0.0, 2.0, 5e-13, 1.0, 1.0)
 
 
+# --- layouts -------------------------------------------------------------------
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "layout, zones, lines, beside, intervals",
+    [
+        (TWO_ZONE, ("L", "R"), (("C", 0.0),), {"C": ("L", "R")},
+         {"L": (-INF, 0.0), "R": (0.0, INF)}),
+        (THREE_ZONE, ("L", "C", "R"), (("L", -1.0), ("R", 1.0)),
+         {"L": ("L", "C"), "R": ("C", "R")},
+         {"L": (-INF, -1.0), "C": (-1.0, 1.0), "R": (1.0, INF)}),
+    ],
+    ids=["two", "three"],
+)
+def test_layout_tables(layout, zones, lines, beside, intervals):
+    assert layout.zone_ids == zones
+    assert layout.switching_lines == lines
+    for line_id, x in lines:
+        assert layout.line_position(line_id) == x
+        assert layout.zones_beside(line_id) == beside[line_id]
+    for zone_id in zones:
+        assert layout.zone_interval(zone_id) == intervals[zone_id]
+    for unknown in ("X", "c"):
+        with pytest.raises(LayoutError):
+            layout.line_position(unknown)
+        with pytest.raises(LayoutError):
+            layout.zones_beside(unknown)
+        with pytest.raises(LayoutError):
+            layout.zone_interval(unknown)
+
+
 # --- continuity ----------------------------------------------------------------
 
 
@@ -265,6 +301,13 @@ def test_rational_strings_parse_exactly():
             {"a": 0, "b": 1, "c": 0, "alpha": 0, "beta": 0},
             {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0},
         ]},
+        *(
+            {"layout": "two", "zones": [
+                {"a": 1, "b": bad, "c": 1, "alpha": 0, "beta": 0},
+                {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0},
+            ]}
+            for bad in (float("nan"), float("inf"), -1e400, "1e400", 10 ** 400)
+        ),
     ],
 )
 def test_bad_documents_rejected(doc):
