@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -20,7 +21,6 @@ from typing import Optional, Sequence
 from . import closure, cycle, poincare
 from .cycle import CycleCertificate
 from .model import (
-    THREE_ZONE,
     PiecewiseSystem,
     is_continuous,
     load_system,
@@ -40,6 +40,10 @@ CANVAS_HEIGHT = 600
 CANVAS_MARGIN = 60.0
 
 ORACLE_AGREEMENT_TOL = 1e-6
+
+# Only plot draws the polyline; the other commands print none of it and verify
+# checks only that it closes, so they sample each arc at its two end points.
+UNPLOTTED_SAMPLES_PER_ARC = 2
 
 
 def bundle_examples() -> list[tuple[str, PiecewiseSystem]]:
@@ -73,7 +77,7 @@ def render_svg(
     source: CycleCertificate | Trajectory,
     window: Optional[tuple[float, float, float, float]],
     path: str | Path,
-    system: Optional[PiecewiseSystem] = None,
+    system: PiecewiseSystem,
 ) -> None:
     """Write a deterministic 800x600 SVG phase portrait.
 
@@ -92,12 +96,8 @@ def render_svg(
     if not polyline:
         raise ValueError("nothing to plot: empty polyline")
 
-    if system is not None:
-        lines = list(system.layout.switching_lines)
-        singular = [info.location for _, info, _ in singular_points_in_zone(system)]
-    else:
-        lines = list(THREE_ZONE.switching_lines)
-        singular = []
+    lines = list(system.layout.switching_lines)
+    singular = [info.location for _, info, _ in singular_points_in_zone(system)]
 
     if window is None:
         window = _default_window(polyline, [x for _, x in lines])
@@ -250,7 +250,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    result = cycle.certify(system, samples_per_arc=args.samples)
+    result = cycle.certify(system, samples_per_arc=UNPLOTTED_SAMPLES_PER_ARC)
     if result.certificate is None:
         _emit_json(
             args,
@@ -269,8 +269,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     system = load_system(args.input)
-    # Only the corners and the period are read: skip the polyline.
-    result = cycle.certify(system, samples_per_arc=2)
+    result = cycle.certify(system, samples_per_arc=UNPLOTTED_SAMPLES_PER_ARC)
     if result.certificate is None:
         _emit_json(
             args,
@@ -279,8 +278,27 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_OK
     cert = result.certificate
     y0 = cert.corners[0][1]
-    bracket, d_lo, d_hi = _displacement_bracket(system, y0, args.tol)
-    numeric_y0 = poincare.fixed_point(system, bracket, tol=args.tol)
+    # Orbits near the cycle can run into sliding segments, where the return
+    # map is undefined: try ever narrower brackets around y0.
+    last_error: Exception | None = None
+    for width in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4):
+        try:
+            numeric_y0 = poincare.fixed_point(
+                system, (y0 - width, y0 + width), tol=args.tol
+            )
+            break
+        except poincare.BadBracket:
+            continue
+        except (poincare.SlidingEncountered, poincare.NoReturn) as exc:
+            last_error = exc
+    else:
+        raise ValueError(
+            f"no sign-changing displacement bracket around y = {y0:g}"
+            + (f" (last failure: {last_error})" if last_error else "")
+        )
+    # The bracket's ends have displacements of opposite sign, so the upper
+    # one gives the slope: positive means nearby orbits move away.
+    d_hi = poincare.return_map(system, y0 + width, tol=args.tol) - (y0 + width)
     _, return_time = poincare.first_return(system, numeric_y0, tol=args.tol)
     y_gap = abs(numeric_y0 - y0)
     t_gap = abs(return_time - cert.period)
@@ -297,40 +315,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "analytic": {"y0": y0, "period": cert.period},
             "numeric": {"fixed_point": numeric_y0, "return_time": return_time},
             "difference": {"y0": y_gap, "period": t_gap},
-            "displacement_slope_sign": 1.0 if d_hi > d_lo else -1.0,
+            "displacement_slope_sign": 1.0 if d_hi > 0.0 else -1.0,
             "tolerance": ORACLE_AGREEMENT_TOL,
             "agrees": agrees,
         },
     )
     return EXIT_OK if agrees else EXIT_VERIFICATION_FAILED
-
-
-def _displacement_bracket(
-    system: PiecewiseSystem, y_center: float, tol: float
-) -> tuple[tuple[float, float], float, float]:
-    """Widest bracket around y_center on which the displacement flips sign.
-
-    Nearby orbits can run into sliding segments, where the return map is
-    undefined; shrink until both endpoint displacements exist and disagree
-    in sign.  Returns the bracket and its endpoint displacements (their
-    slope sign is a stability diagnostic: positive means nearby orbits move
-    away from the cycle).
-    """
-    last_error: Exception | None = None
-    for width in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4):
-        lo, hi = y_center - width, y_center + width
-        try:
-            d_lo = poincare.return_map(system, lo, tol=tol) - lo
-            d_hi = poincare.return_map(system, hi, tol=tol) - hi
-        except (poincare.SlidingEncountered, poincare.NoReturn) as exc:
-            last_error = exc
-            continue
-        if d_lo * d_hi < 0.0:
-            return ((lo, hi), d_lo, d_hi)
-    raise ValueError(
-        f"no sign-changing displacement bracket around y = {y_center:g}"
-        + (f" (last failure: {last_error})" if last_error else "")
-    )
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -376,7 +366,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
         certificate = cycle.certificate_from_json_dict(doc)
     else:
-        certificate = cycle.find_limit_cycle(system, samples_per_arc=args.samples)
+        certificate = cycle.find_limit_cycle(
+            system, samples_per_arc=UNPLOTTED_SAMPLES_PER_ARC
+        )
         if certificate is None:
             _emit_json(
                 args,
@@ -407,10 +399,12 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("window must be x0,x1,y0,y1")
     try:
-        x0, x1, y0, y1 = (float(p) for p in parts)
+        window = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad window {text!r}") from exc
-    return (x0, x1, y0, y1)
+    if not all(math.isfinite(v) for v in window):
+        raise argparse.ArgumentTypeError(f"window {text!r} is not finite")
+    return window
 
 
 def _tolerance(text: str) -> float:
@@ -456,11 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("oracle", "plot"):
             cmd.add_argument("--tol", type=_tolerance, default=poincare.DEFAULT_TOL,
                              help="numerical integration tolerance")
-        if name in ("cycle", "plot", "verify"):
+        if name == "plot":
             cmd.add_argument("--samples", type=_sample_count,
                              default=cycle.DEFAULT_SAMPLES_PER_ARC,
                              help="polyline samples per arc")
-        if name == "plot":
             cmd.add_argument("--window", type=_parse_window,
                              help="plot window x0,x1,y0,y1")
         if name == "oracle":
@@ -477,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -41,7 +41,8 @@ CONTINUITY_TOL = 1e-12
 
 
 class DegenerateField(ValueError):
-    """The linear part has a**2 + b*c = 0: no isolated singular point."""
+    """No usable isolated singular point: a**2 + b*c is zero or not finite,
+    or the point itself overflows."""
 
 
 class LayoutError(ValueError):
@@ -59,10 +60,11 @@ class LinearHamiltonianField:
     beta: float
 
     def __post_init__(self) -> None:
-        if abs(self.linear_determinant()) <= NONDEGENERACY_TOL:
-            raise DegenerateField(
-                f"a^2 + b*c = {self.linear_determinant():g} is too close to zero"
-            )
+        det = self.linear_determinant()
+        if not math.isfinite(det):
+            raise DegenerateField(f"a^2 + b*c = {det:g} is not a finite number")
+        if abs(det) <= NONDEGENERACY_TOL:
+            raise DegenerateField(f"a^2 + b*c = {det:g} is too close to zero")
 
     def linear_determinant(self) -> float:
         """a**2 + b*c, the negated determinant of the linear part."""
@@ -217,6 +219,8 @@ def classify_singularity(field: LinearHamiltonianField) -> SingularKind:
     det = field.linear_determinant()
     px = (-field.a * field.alpha - field.b * field.beta) / det
     py = (-field.c * field.alpha + field.a * field.beta) / det
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise DegenerateField(f"singular point ({px:g}, {py:g}) is not finite")
     if det < 0.0:
         return SingularKind("center", math.sqrt(-det), (px, py))
     return SingularKind("saddle", math.sqrt(det), (px, py))
@@ -286,7 +290,7 @@ class SystemFormatError(ValueError):
     """A system-definition document does not match the expected schema."""
 
 
-def coefficient_from_json(value: object, where: str = "coefficient") -> float:
+def coefficient_from_json(value: object, where: str) -> float:
     """Parse a number or an exact rational string "p/q" into a finite float."""
     if isinstance(value, bool):
         raise SystemFormatError(f"{where}: expected a number, got {value!r}")

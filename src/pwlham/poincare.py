@@ -24,7 +24,12 @@ from .flow import FlowState, classify_boundary_point, CrossingClassification
 from .model import PiecewiseSystem, Point
 
 DEFAULT_TOL = 1e-9
-DEFAULT_T_MAX = 100.0
+
+# Time budget for one return to the right line.
+RETURN_T_MAX = 100.0
+
+# fixed_point bisects the bracket down to this width.
+FIXED_POINT_Y_TOL = 1e-10
 
 # Event bisection runs until the residual |x - line| falls below this.
 EVENT_TOL = 1e-12
@@ -222,10 +227,7 @@ def _bisect_event(field, p: Point, h: float, line_x: float) -> float:
 
 
 def first_return(
-    system: PiecewiseSystem,
-    y: float,
-    t_max: float = DEFAULT_T_MAX,
-    tol: float = DEFAULT_TOL,
+    system: PiecewiseSystem, y: float, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Return ordinate and return time of the orbit started at (1, y).
 
@@ -243,31 +245,26 @@ def first_return(
             and event.classification.derivative_plus > 0.0
         )
 
-    trajectory = integrate_numeric(
-        system, start, t_max, tol, stop_event=is_return, record_states=False
+    events = integrate_numeric(
+        system, start, RETURN_T_MAX, tol, stop_event=is_return, record_states=False
+    ).events
+    # Integration stops at the first return, so only the last event can be one.
+    if events and is_return(events[-1]):
+        return (events[-1].point[1], events[-1].time)
+    raise NoReturn(
+        f"no rightward return to x = {line_x:g} within t = {RETURN_T_MAX:g}"
     )
-    for event in reversed(trajectory.events):
-        if is_return(event):
-            return (event.point[1], event.time)
-    raise NoReturn(f"no rightward return to x = {line_x:g} within t = {t_max:g}")
 
 
-def return_map(
-    system: PiecewiseSystem,
-    y: float,
-    t_max: float = DEFAULT_T_MAX,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def return_map(system: PiecewiseSystem, y: float, tol: float = DEFAULT_TOL) -> float:
     """Ordinate of the first rightward return to the right switching line."""
-    return first_return(system, y, t_max, tol)[0]
+    return first_return(system, y, tol)[0]
 
 
 def fixed_point(
     system: PiecewiseSystem,
     bracket: tuple[float, float],
-    t_max: float = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
-    y_tol: float = 1e-10,
 ) -> float:
     """Bisect the displacement return_map(y) - y to a fixed point.
 
@@ -277,8 +274,8 @@ def fixed_point(
     y_lo, y_hi = bracket
     if not y_lo < y_hi:
         raise BadBracket(f"empty bracket {bracket}")
-    d_lo = return_map(system, y_lo, t_max, tol) - y_lo
-    d_hi = return_map(system, y_hi, t_max, tol) - y_hi
+    d_lo = return_map(system, y_lo, tol) - y_lo
+    d_hi = return_map(system, y_hi, tol) - y_hi
     if d_lo == 0.0:
         return y_lo
     if d_hi == 0.0:
@@ -288,9 +285,9 @@ def fixed_point(
             f"displacement has the same sign at both ends of {bracket}: "
             f"{d_lo:g} vs {d_hi:g}"
         )
-    while y_hi - y_lo > y_tol:
+    while y_hi - y_lo > FIXED_POINT_Y_TOL:
         mid = 0.5 * (y_lo + y_hi)
-        d_mid = return_map(system, mid, t_max, tol) - mid
+        d_mid = return_map(system, mid, tol) - mid
         if d_mid == 0.0:
             return mid
         if math.copysign(1.0, d_mid) == math.copysign(1.0, d_lo):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pwlham import flow, poincare
 from pwlham.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -205,6 +206,34 @@ def test_non_finite_coefficient_is_input_error(tmp_path, capsys, token):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "zone_l",
+    [
+        {"a": 1e200},  # a^2 + b*c overflows to inf
+        {"a": 1e200, "b": 1e200, "c": -1e200},  # inf - inf: nan
+        {"a": 1, "b": 1e300, "c": 1e-300, "beta": 1e300},  # the point overflows
+    ],
+    ids=["det-inf", "det-nan", "point-inf"],
+)
+def test_non_finite_derived_value_is_input_error(tmp_path, capsys, zone_l):
+    doc = json.loads(fixture_text("CCC"))
+    doc["zones"][0].update(zone_l)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == EXIT_INPUT_ERROR
+    assert "finite" in capsys.readouterr().err
+
+
+def test_unreadable_path_is_input_error(ccc_path, tmp_path, capsys):
+    for argv in (
+        ["classify", "--input", str(tmp_path)],
+        ["solve", "--input", str(ccc_path), "--output", str(tmp_path)],
+        ["verify", "--input", str(ccc_path), "--certificate", str(tmp_path)],
+    ):
+        assert main(argv) == EXIT_INPUT_ERROR, argv
+        assert "error:" in capsys.readouterr().err
+
+
 def test_round_trip_solve_is_identical(ccc_path, tmp_path):
     from pwlham.model import system_to_json_dict
 
@@ -241,8 +270,9 @@ def test_render_svg_rejects_empty_polyline(tmp_path):
     from pwlham.cli import render_svg
     from pwlham.poincare import Trajectory
 
+    system = dict(bundle_examples())["CCC"]
     with pytest.raises(ValueError):
-        render_svg(Trajectory((), ()), None, tmp_path / "empty.svg")
+        render_svg(Trajectory((), ()), None, tmp_path / "empty.svg", system)
 
 
 def test_invalid_options_exit_2(ccc_path, tmp_path):
@@ -253,13 +283,48 @@ def test_invalid_options_exit_2(ccc_path, tmp_path):
         ["oracle", "--tol", "inf"],
         ["plot", "--samples", "1"],
         ["plot", "--window", "0,0,0,1"],
+        ["plot", "--window=-inf,inf,-3,3"],
+        ["plot", "--window=0,1,nan,1"],
         ["solve", "--tol", "1e-6"],  # solve has no tolerance to set
+        ["cycle", "--samples", "8"],  # only plot draws the polyline
+        ["verify", "--samples", "8"],
     ):
         try:
             code = main([*argv, "--input", str(ccc_path), "--output", svg])
         except SystemExit as exc:  # rejected by the argument parser
             code = exc.code
         assert code == EXIT_INPUT_ERROR, argv
+
+
+def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
+    counts = []
+    sample = flow.orbit_samples
+    monkeypatch.setattr(
+        flow, "orbit_samples",
+        lambda f, p, t, n: counts.append(n) or sample(f, p, t, n),
+    )
+    out = str(tmp_path / "out")
+    for command in ("cycle", "verify", "oracle"):
+        assert main([command, "--input", str(ccc_path), "--output", out]) == EXIT_OK
+        assert set(counts) == {2}, command
+        counts.clear()
+    argv = ["plot", "--input", str(ccc_path), "--output", out, "--samples", "5"]
+    assert main(argv) == EXIT_OK
+    assert set(counts) == {5}
+
+
+def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
+    # fixed_point on the widest bracket (two ends, 30 bisection steps), the
+    # upper end's displacement for the slope sign, and the return time.
+    calls = []
+    first_return = poincare.first_return
+    monkeypatch.setattr(
+        poincare, "first_return",
+        lambda *a, **k: calls.append(a) or first_return(*a, **k),
+    )
+    out = str(tmp_path / "oracle.json")
+    assert main(["oracle", "--input", str(ccc_path), "--output", out]) == EXIT_OK
+    assert len(calls) == 34
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,11 @@ def test_rational_strings_parse_exactly():
             ]}
             for bad in (float("nan"), float("inf"), -1e400, "1e400", 10 ** 400)
         ),
+        # Finite coefficients whose a^2 + b*c overflows.
+        {"layout": "two", "zones": [
+            {"a": 1e200, "b": 0, "c": 1, "alpha": 0, "beta": 0},
+            {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0},
+        ]},
     ],
 )
 def test_bad_documents_rejected(doc):

@@ -159,7 +159,7 @@ def test_no_return_when_orbit_escapes():
         F(1.0, 0.0, 1.0, 1.0, 0.0),
     )
     with pytest.raises(NoReturn):
-        return_map(system, 1.0, t_max=5.0)
+        return_map(system, 1.0)
 
 
 def test_refinement_convergence_over_tolerance_halvings(ccc):
