@@ -305,7 +305,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     agrees = y_gap <= ORACLE_AGREEMENT_TOL and t_gap <= ORACLE_AGREEMENT_TOL
     if args.trajectory_csv:
         trajectory = poincare.integrate_numeric(
-            system, (1.0, y0), t_max=cert.period * 1.0001, tol=args.tol
+            system, cert.corners[0], t_max=cert.period * 1.0001, tol=args.tol
         )
         with open(args.trajectory_csv, "w", encoding="utf-8") as fh:
             poincare.trajectory_to_csv(trajectory, fh)

@@ -15,6 +15,7 @@ from pwlham.cli import (
     fixture_text,
     main,
 )
+from pwlham.cycle import find_limit_cycle
 from pwlham.model import system_from_json_dict
 
 from conftest import GOLDEN_CORNERS
@@ -108,6 +109,8 @@ def test_oracle_command_agrees(ccc_path, tmp_path):
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "t,x,y,zone"
     assert len(lines) > 100
+    corner = find_limit_cycle(dict(bundle_examples())["CCC"]).corners[0]
+    assert lines[1].split(",") == ["0.0", repr(corner[0]), repr(corner[1]), "R"]
 
 
 def test_verify_command_round_trip(ccc_path, tmp_path):
@@ -314,8 +317,9 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
 
 
 def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
-    # fixed_point on the widest bracket (two ends, 30 bisection steps), the
-    # upper end's displacement for the slope sign, and the return time.
+    # fixed_point on the widest bracket (two ends, 12 false-position
+    # probes), the upper end's displacement for the slope sign, and the
+    # return time.
     calls = []
     first_return = poincare.first_return
     monkeypatch.setattr(
@@ -324,7 +328,7 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
     )
     out = str(tmp_path / "oracle.json")
     assert main(["oracle", "--input", str(ccc_path), "--output", out]) == EXIT_OK
-    assert len(calls) == 34
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize(

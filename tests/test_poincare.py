@@ -1,4 +1,4 @@
-"""Event-detecting integration, return map and fixed-point bisection."""
+"""Event-detecting integration, return map and fixed-point search."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import math
 
 import pytest
 
+from pwlham import poincare
 from pwlham.cycle import find_limit_cycle
 from pwlham.model import LinearHamiltonianField, PiecewiseSystem, hamiltonian_value
 from pwlham.poincare import (
+    FIXED_POINT_Y_TOL,
     BadBracket,
     NoReturn,
     SlidingEncountered,
@@ -119,11 +121,60 @@ def test_fixed_point_for_saddle_example(examples):
     assert got == pytest.approx(y0, abs=1e-6)
 
 
-def test_fixed_point_from_asymmetric_bracket(ccc):
-    # Bisection does not care where the root sits inside the bracket.
-    y0 = GOLDEN_CORNERS["CCC"][0]
-    got = fixed_point(ccc, (y0 - 0.013, y0 + 0.005))
-    assert got == pytest.approx(y0, abs=1e-6)
+def test_fixed_point_from_asymmetric_bracket(examples):
+    # Unlike bisection, false position depends on where the root sits and on
+    # how large the displacement is at each end (CCC and SCC have a -2/3
+    # plateau below y0).  SSC slides from y0 - 1e-2 down, so no bracket
+    # reaches there.
+    for name, system in examples.items():
+        y0 = GOLDEN_CORNERS[name][0]
+        for below, above in ((9e-3, 3e-3), (3e-3, 1e-2)):
+            got = fixed_point(system, (y0 - below, y0 + above))
+            assert got == pytest.approx(y0, abs=1e-6), (name, below, above)
+
+
+_R = 0.4321
+
+
+def _jump(y):
+    # Sign step at _R, flat on both sides, as CCC's displacement drops to
+    # its -2/3 plateau (there without changing sign).
+    return -2.0 / 3.0 if y < _R else 1e-3
+
+
+def _flat(y):
+    # Triple root: below 1e-12 across the whole FIXED_POINT_Y_TOL window
+    # around _R.
+    return 1e-12 * ((y - _R) / FIXED_POINT_Y_TOL) ** 3
+
+
+def _linear(y):
+    return 0.5 * (_R - y)
+
+
+@pytest.mark.parametrize(
+    "displacement, bracket",
+    [
+        (_jump, (_R - 0.05, _R + 0.05)),
+        (_jump, (_R - 1e-3, _R + 0.09)),
+        (_flat, (_R - 0.02, _R + 0.07)),
+        (_linear, (_R - 1e-11, _R + 0.05)),
+        (_linear, (_R - 0.05, _R + 1e-11)),
+    ],
+)
+def test_fixed_point_worst_cases(monkeypatch, displacement, bracket):
+    calls = []
+
+    def synthetic_return_map(system, y, tol):
+        calls.append(y)
+        return y + displacement(y)
+
+    monkeypatch.setattr(poincare, "return_map", synthetic_return_map)
+    got = fixed_point(None, bracket)
+    assert bracket[0] <= got <= bracket[1]
+    assert abs(got - _R) <= FIXED_POINT_Y_TOL
+    width = bracket[1] - bracket[0]
+    assert len(calls) <= 2 * math.ceil(math.log2(width / FIXED_POINT_Y_TOL)) + 2
 
 
 def test_bad_bracket_rejected(ccc):
