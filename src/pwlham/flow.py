@@ -13,8 +13,8 @@ Because the switching lines are vertical, the contact of a zone field with a
 line is governed by the first field component alone: boundary points are
 classified by the signs of the two one-sided x-velocities, and flight times
 between lines reduce to scalar trigonometric (center) or exponential
-(saddle) equations that we solve in closed form and cross-check with a
-bracketed bisection on x(t) - target.
+(saddle) equations that we solve in closed form and cross-check by
+safeguarded Newton on x(t) - target inside a sign-change bracket.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .model import (
 # |x-velocity| at or below this is a tangential contact.
 TANGENCY_TOL = 1e-10
 
-# Bisection window width for the flight-time cross-check.
+# Newton correction (or bracket width) at which the flight-time cross-check
+# stops refining.
 REFINE_TOL = 1e-12
 
 # Agreement required between the closed-form flight time and its refinement.
@@ -239,8 +240,9 @@ def flight_time(
 
     Returns the smallest t > 0 at which x(t) equals the target abscissa with
     a transversal crossing oriented out of the strip being traversed.  The
-    closed-form answer is validated against a bracketed bisection on
-    g(t) = x(t) - target_x before being returned.
+    closed-form answer is validated against safeguarded Newton on
+    g(t) = x(t) - target_x, inside a sign-change bracket, before being
+    returned.
     """
     s0, s1 = p0[0], float(target_x)
     required_sign = _required_arrival_sign(field, p0, s0, s1)
@@ -259,7 +261,7 @@ def flight_time(
     if abs(t - t_refined) > CROSS_CHECK_TOL * (1.0 + abs(t)):
         raise ArithmeticError(
             f"flight-time cross-check failed: closed form {t!r} vs "
-            f"bisection {t_refined!r}"
+            f"Newton refinement {t_refined!r}"
         )
     return t
 
@@ -267,22 +269,36 @@ def flight_time(
 def refine_flight_time(
     field: LinearHamiltonianField, p0: Point, target_x: float, t_approx: float
 ) -> float:
-    """Bisect g(t) = x(t) - target_x inside a bracket around t_approx."""
+    """Root of g(t) = x(t) - target_x near t_approx, by safeguarded Newton.
+
+    Newton steps from t_approx use g'(t) = x'(t), the field's first
+    component along the flow; a step that leaves the sign-change bracket
+    around t_approx bisects it instead.  Stops once the correction or the
+    bracket is within REFINE_TOL.
+    """
 
     def g(t: float) -> float:
         return flow_closed_form(field, p0, t)[0] - target_x
 
     lo, hi = _bracket_root(g, t_approx)
     glo = g(lo)
+    t = t_approx
     for _ in range(200):
+        p = flow_closed_form(field, p0, t)
+        gt = p[0] - target_x
+        if glo * gt <= 0.0:
+            hi = t
+        else:
+            lo, glo = t, gt
+        slope = vector_field_value(field, p)[0]
+        correction = gt / slope if slope != 0.0 else math.inf
+        if abs(correction) <= REFINE_TOL:
+            return t - correction
         if hi - lo <= REFINE_TOL:
             break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
+        t -= correction
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

@@ -1,10 +1,13 @@
 """Numerical return-map oracle, independent of the closed-form pipeline.
 
 Orbits are integrated with the classical fixed-step fourth-order Runge-Kutta
-scheme, one zone at a time.  A step that would cross a switching line is
-halved until the crossing is confined to a short step, then the crossing
-time is localized by bisection on x(t) - line inside that step; the orbit is
-handed to the adjacent zone only when the contact classifies as a crossing.
+scheme, one zone at a time.  On an affine zone field one RK4 step is the
+order-4 Taylor polynomial of the flow in the step length, so a whole step is
+an affine map built once per zone.  A step that would cross a switching line
+is halved until the crossing is confined to a short step, then the crossing
+time is localized by safeguarded Newton on that step's quartic in its length
+minus the line's abscissa; the orbit is handed to the adjacent zone only
+when the contact classifies as a crossing.
 The first return to the right line with rightward motion defines the return
 map on that line, and Illinois false position on a sign-changing bracket of
 the displacement return_map(y) - y locates its fixed points, i.e. periodic
@@ -32,7 +35,8 @@ RETURN_T_MAX = 100.0
 # fixed_point narrows the bracket by Illinois false position to this width.
 FIXED_POINT_Y_TOL = 1e-10
 
-# Event bisection runs until the residual |x - line| falls below this.
+# Event localization by Newton runs until the residual |x - line| falls
+# below this.
 EVENT_TOL = 1e-12
 
 # Hard floor on the step size; reaching it means the stepper is stuck.
@@ -123,6 +127,61 @@ def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
     raise ValueError(f"point {p} belongs to no zone")
 
 
+def _step_map(field, h: float) -> tuple[float, ...]:
+    """The RK4 step of length h as p -> p + E p + e, returned as E and e.
+
+    On an affine field F(p) = M p + f the RK4 step is the order-4 Taylor
+    polynomial of the flow, p + sum_k h^k/k! M^(k-1) F(p), and M^2 = D I with
+    D = a^2 + b*c.  So E = D q I + r M and e = r f + q M f, where
+    r = h + h^3 D/6 and q = h^2/2 + h^4 D/24.
+    """
+    a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
+    d = field.linear_determinant()
+    h2 = h * h
+    r = h * (1.0 + h2 * d / 6.0)
+    q = h2 * (0.5 + h2 * d / 24.0)
+    return (
+        d * q + r * a, r * b, r * c, d * q - r * a,
+        r * alpha + q * (a * alpha + b * beta),
+        r * beta + q * (c * alpha - a * beta),
+    )
+
+
+def _step_quartics(field, p: Point) -> tuple[tuple[float, ...], ...]:
+    """Coefficients in tau of both coordinates of the RK4 step of length tau.
+
+    The step is p + tau v1 + tau^2/2 v2 + tau^3/6 v3 + tau^4/24 v4, with
+    v1 = F(p) and v(k+1) = M v(k); M^2 = D I gives v3 = D v1, v4 = D v2.
+    """
+    a, b, c = field.a, field.b, field.c
+    d = field.linear_determinant()
+    x, y = p
+    v1x = a * x + b * y + field.alpha
+    v1y = c * x - a * y + field.beta
+    v2x = a * v1x + b * v1y
+    v2y = c * v1x - a * v1y
+    return (
+        (x, v1x, v2x / 2.0, d * v1x / 6.0, d * v2x / 24.0),
+        (y, v1y, v2y / 2.0, d * v1y / 6.0, d * v2y / 24.0),
+    )
+
+
+def _quartic(coefficients: tuple[float, ...], tau: float) -> float:
+    c0, c1, c2, c3, c4 = coefficients
+    return c0 + tau * (c1 + tau * (c2 + tau * (c3 + tau * c4)))
+
+
+def _crossed_line(lines, x: float, x_next: float) -> Optional[tuple[str, float]]:
+    """First bounding line the abscissa crosses (or lands on) from x to x_next."""
+    for line_id, line_x in lines:
+        g_end = x_next - line_x
+        # g_end == 0 exactly: the step lands on the line; localize it as an
+        # event rather than silently stepping past.
+        if (x - line_x) * g_end < 0.0 or g_end == 0.0:
+            return line_id, line_x
+    return None
+
+
 def integrate_numeric(
     system: PiecewiseSystem,
     x0: Point,
@@ -133,24 +192,38 @@ def integrate_numeric(
 ) -> Trajectory:
     """Integrate the piecewise orbit from x0 for up to t_max time units.
 
-    Switching-line crossings are localized to EVENT_TOL and recorded in
-    order; a crossing hands the orbit to the neighbouring zone, while a
-    sliding/escaping/tangential contact raises SlidingEncountered (with the
-    partial trajectory attached).  ``stop_event`` may end the run at a
-    recorded event, e.g. to realize a return map.
+    Whole RK4 steps apply each zone's affine step map while the next
+    abscissa stays strictly inside the zone's strip.  A step that reaches a
+    switching line is halved toward it, each trial evaluated with the step's
+    quartic in its length; the crossing time is then found by safeguarded
+    Newton on that quartic, to EVENT_TOL, and recorded in order.  A crossing
+    hands the orbit to the neighbouring zone, while a sliding/escaping/
+    tangential contact raises SlidingEncountered (with the partial
+    trajectory attached).  ``stop_event`` may end the run at a recorded
+    event, e.g. to realize a return map.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     zone = _initial_zone(system, x0)
-    # Per zone: its field and the lines bounding its strip (zone i lies
-    # between lines i - 1 and i).
-    lines = system.layout.switching_lines
-    zone_table = {
-        zone_id: (system.fields[i], lines[max(i - 1, 0) : i + 1])
-        for i, zone_id in enumerate(system.layout.zone_ids)
-    }
     h_base = _base_step(system, tol)
     h_event = h_base / 64.0
+    # Per zone: its field, its strip, the lines bounding the strip (zone i
+    # lies between lines i - 1 and i) and its step map at h_base.
+    layout = system.layout
+    lines = layout.switching_lines
+    zone_table = {
+        zone_id: (
+            system.fields[i],
+            *layout.zone_interval(zone_id),
+            lines[max(i - 1, 0) : i + 1],
+            _step_map(system.fields[i], h_base),
+        )
+        for i, zone_id in enumerate(layout.zone_ids)
+    }
+    # Whole steps need t + h_base > t for every t below t_max.  Should h_base
+    # fall below the resolution of t_max, every step takes the checked path
+    # below, which stops where t stalls.
+    t_whole = t_max if h_base >= math.ulp(t_max) else -math.inf
 
     t = 0.0
     p = x0
@@ -158,26 +231,40 @@ def integrate_numeric(
     events: list[SwitchEvent] = []
 
     while t < t_max:
-        field, zone_lines = zone_table[zone]
-        h = min(h_base, t_max - t)
-        if t + h == t:
-            break  # remaining budget is below the float resolution of t
-        crossing_line = None
-        while True:
-            p_next = _rk4_step(field, p, h)
-            crossing_line = None
-            for line_id, line_x in zone_lines:
-                g_end = p_next[0] - line_x
-                # g_end == 0 exactly: the step lands on the line; localize
-                # it as an event rather than silently stepping past.
-                if (p[0] - line_x) * g_end < 0.0 or g_end == 0.0:
-                    crossing_line = (line_id, line_x)
-                    break
-            if crossing_line is None or h <= h_event:
+        field, lo, hi, zone_lines, step = zone_table[zone]
+        e00, e01, e10, e11, ex, ey = step
+        x, y = p
+        while h_base <= t_whole - t:
+            x_next = x + (e00 * x + e01 * y + ex)
+            if not lo < x_next < hi:
+                h = h_base
+                p_next = (x_next, y + (e10 * x + e11 * y + ey))
                 break
-            h *= 0.5  # shrink toward the line before bisecting the event
-            if h < MIN_STEP:
-                raise StepUnderflow(f"step collapsed to {h:g} at t = {t:g}")
+            y += e10 * x + e11 * y + ey
+            x = x_next
+            t += h_base
+            if record_states:
+                states.append(FlowState((x, y), t, zone))
+        else:
+            h = min(h_base, t_max - t)
+            if h <= 0.0 or t + h == t:
+                break  # t_max reached, or the rest is below t's resolution
+            p_next = _rk4_step(field, (x, y), h)
+        p = (x, y)
+
+        x_end = p_next[0]
+        crossing_line = _crossed_line(zone_lines, x, x_end)
+        if crossing_line is not None:
+            x_quartic, y_quartic = _step_quartics(field, p)
+            while h > h_event:
+                h *= 0.5  # shrink toward the line before locating the event
+                if h < MIN_STEP:
+                    raise StepUnderflow(f"step collapsed to {h:g} at t = {t:g}")
+                x_end = _quartic(x_quartic, h)
+                crossing_line = _crossed_line(zone_lines, x, x_end)
+                if crossing_line is None:
+                    p_next = (x_end, _quartic(y_quartic, h))
+                    break
 
         if crossing_line is None:
             t += h
@@ -187,9 +274,9 @@ def integrate_numeric(
             continue
 
         line_id, line_x = crossing_line
-        tau = _bisect_event(field, p, h, line_x)
-        p_hit = _rk4_step(field, p, tau)
-        p_event: Point = (line_x, p_hit[1])  # snap onto the line
+        offset = (x - line_x, *x_quartic[1:])
+        tau = _locate_event(offset, h, x_end - line_x)
+        p_event: Point = (line_x, _quartic(y_quartic, tau))  # snap onto the line
         t += tau
         cls = classify_boundary_point(system, p_event, line_id)
         event = SwitchEvent(t, p_event, line_id, cls)
@@ -202,7 +289,7 @@ def integrate_numeric(
                 f"(t = {t:g})",
                 Trajectory(tuple(states), tuple(events)),
             )
-        minus_zone, plus_zone = system.layout.zones_beside(line_id)
+        minus_zone, plus_zone = layout.zones_beside(line_id)
         zone = plus_zone if cls.derivative_plus > 0.0 else minus_zone
         p = p_event
         if stop_event is not None and stop_event(event):
@@ -211,20 +298,32 @@ def integrate_numeric(
     return Trajectory(tuple(states), tuple(events))
 
 
-def _bisect_event(field, p: Point, h: float, line_x: float) -> float:
-    """Earliest time in (0, h] at which the step from p crosses line_x."""
-    g0 = p[0] - line_x
+def _locate_event(offset: tuple[float, ...], h: float, g_end: float) -> float:
+    """Time in (0, h] at which the step's abscissa meets the line.
+
+    ``offset`` holds the quartic g(tau) = x(tau) - line, which changes sign
+    over [0, h] or vanishes at h (g_end = g(h)).  Newton from the secant
+    root, kept inside the shrinking sign bracket by bisection, stops once
+    |g| <= EVENT_TOL and the next correction is within 1e-10 max(h, 1).
+    """
+    g0, g1, g2, g3, g4 = offset
     lo, hi = 0.0, h
+    tau = h * g0 / (g0 - g_end) if g0 != 0.0 else 0.5 * h
+    width = 1e-10 * max(h, 1.0)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = _rk4_step(field, p, mid)[0] - line_x
-        if abs(gm) <= EVENT_TOL and hi - lo <= 1e-10 * max(h, 1.0):
-            return mid
-        if g0 * gm > 0.0:
-            lo = mid
+        g = _quartic(offset, tau)
+        if g0 * g > 0.0:
+            lo = tau
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = tau
+        slope = g1 + tau * (2.0 * g2 + tau * (3.0 * g3 + tau * 4.0 * g4))
+        correction = g / slope if slope != 0.0 else math.inf
+        if abs(g) <= EVENT_TOL and abs(correction) <= width:
+            return tau
+        tau -= correction
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+    return tau
 
 
 def first_return(

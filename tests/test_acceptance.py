@@ -251,7 +251,7 @@ def test_criterion_7_numerical_hygiene(examples):
         assert abs(one[0] - two[0]) <= HYGIENE_TOL * (1 + abs(one[0]))
         assert abs(one[1] - two[1]) <= HYGIENE_TOL * (1 + abs(one[1]))
 
-    # Closed-form flight times vs bracketed bisection.
+    # Closed-form flight times vs their bracketed Newton refinement.
     reachable = 0
     worst = 0.0
     while reachable < 1000:
@@ -268,7 +268,7 @@ def test_criterion_7_numerical_hygiene(examples):
         reachable += 1
     _report(7, "energy conservation <= 1e-9 relative on all arcs and 1000 "
                "random flows; group property <= 1e-9 on 1000 cases; 1000 "
-               f"flight times agree with bisection (worst {worst:.2e})")
+               f"flight times agree with refinement (worst {worst:.2e})")
 
 
 def test_criterion_8_cli_end_to_end(tmp_path):

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pwlham import flow
 from pwlham.flow import (
     NeverReaches,
     TangentialContact,
@@ -267,3 +268,32 @@ def test_flight_time_matches_bracketed_refinement():
         landing_x = flow_closed_form(field, p0, t)[0]
         assert landing_x == pytest.approx(s1, abs=1e-9)
         checked += 1
+
+
+def test_refinement_finds_the_root_from_an_offset_start():
+    rng = random.Random(62)
+    checked = 0
+    while checked < 300:
+        field = random_field(rng)
+        s0 = rng.choice((-1.0, 0.0, 1.0))
+        s1 = rng.choice((-1.0, 0.0, 1.0))
+        p0 = (s0, rng.uniform(-3.0, 3.0))
+        try:
+            t = flight_time(field, p0, s1)
+        except (NeverReaches, TangentialContact):
+            continue
+        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -4.0)
+        t_ref = refine_flight_time(field, p0, s1, t + offset)
+        assert abs(t - t_ref) <= 1e-10 * (1.0 + t)
+        checked += 1
+
+
+def test_cross_check_rejects_an_off_closed_form(monkeypatch):
+    center_flight_time = flow._center_flight_time
+    monkeypatch.setattr(
+        flow, "_center_flight_time",
+        lambda *args: center_flight_time(*args) + 1e-6,
+    )
+    field = F(0.0, 1.0, -1.0, 0.0, 0.0)  # unit circle about the origin
+    with pytest.raises(ArithmeticError, match="cross-check"):
+        flight_time(field, (1.0, 0.5), -1.0)

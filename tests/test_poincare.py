@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from pwlham import poincare
 from pwlham.cycle import find_limit_cycle
 from pwlham.model import LinearHamiltonianField, PiecewiseSystem, hamiltonian_value
 from pwlham.poincare import (
+    DEFAULT_TOL,
+    EVENT_TOL,
     FIXED_POINT_Y_TOL,
     BadBracket,
     NoReturn,
@@ -67,6 +70,86 @@ def test_event_times_increase_and_lie_on_lines(ccc):
     for event in trajectory.events:
         line_x = ccc.layout.line_position(event.line)
         assert abs(event.point[0] - line_x) <= 1e-10
+
+
+# RK4 steps (states - 1 - events) and switching events over one period,
+# from the certified corner 0 to 1.0001 periods.
+ORBIT_WORK = {
+    "CCC": (769, 4),
+    "SCC": (660, 4),
+    "SCS": (599, 4),
+    "CSC": (746, 4),
+    "SSS": (547, 4),
+    "SSC": (704, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_WORK))
+def test_one_orbit_takes_pinned_work(examples, name):
+    system = examples[name]
+    cert = find_limit_cycle(system)
+    trajectory = integrate_numeric(
+        system, cert.corners[0], t_max=cert.period * 1.0001
+    )
+    events = len(trajectory.events)
+    steps = len(trajectory.states) - 1 - events
+    assert (steps, events) == ORBIT_WORK[name]
+
+
+def test_step_map_is_the_rk4_step(examples):
+    rng = random.Random(7)
+    stiff = F(0.5, 2.0, -1.0, 1e6, -5e5)
+    systems = [*examples.values(), PiecewiseSystem.three_zone(stiff, stiff, stiff)]
+    for system in systems:
+        h = poincare._base_step(system, DEFAULT_TOL)
+        for field in system.fields:
+            e00, e01, e10, e11, ex, ey = poincare._step_map(field, h)
+            for _ in range(1000):
+                x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+                got = (x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey))
+                want = poincare._rk4_step(field, (x, y), h)
+                scale = max(abs(x), abs(y), abs(want[0]), abs(want[1]))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y)
+
+
+def _bisect_rk4_event(field, p, h, line_x):
+    """Reference: bisect the RK4 step's abscissa to the float resolution."""
+    g0 = p[0] - line_x
+    lo, hi = 0.0, h
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if g0 * (poincare._rk4_step(field, p, mid)[0] - line_x) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_event_newton_root_matches_bisected_rk4_step(ccc, monkeypatch):
+    starts, roots = [], []
+    step_quartics, locate_event = poincare._step_quartics, poincare._locate_event
+
+    def record_start(field, p):
+        starts.append((field, p))
+        return step_quartics(field, p)
+
+    def record_root(offset, h, g_end):
+        tau = locate_event(offset, h, g_end)
+        roots.append((starts[-1], h, tau))
+        return tau
+
+    monkeypatch.setattr(poincare, "_step_quartics", record_start)
+    monkeypatch.setattr(poincare, "_locate_event", record_root)
+    cert = find_limit_cycle(ccc)
+    trajectory = integrate_numeric(ccc, cert.corners[0], t_max=cert.period * 1.0001)
+    assert len(roots) == len(trajectory.events) == 4
+    h_base = poincare._base_step(ccc, DEFAULT_TOL)
+    for event, ((field, p), h, tau) in zip(trajectory.events, roots):
+        line_x = ccc.layout.line_position(event.line)
+        assert abs(tau - _bisect_rk4_event(field, p, h, line_x)) <= 1e-10 * h_base
+        assert abs(poincare._rk4_step(field, p, tau)[0] - line_x) <= EVENT_TOL
 
 
 def test_energy_drift_within_each_zone_segment(ccc):
