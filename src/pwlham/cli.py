@@ -11,6 +11,7 @@ mismatch, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,8 +356,6 @@ def _sample_trajectory(
         except poincare.SlidingEncountered as exc:
             if len(exc.trajectory.states) >= 2:
                 return exc.trajectory
-        except poincare.StepUnderflow:
-            continue
     raise ValueError("could not sample a representative orbit for plotting")
 
 
@@ -421,6 +420,7 @@ def _sample_count(text: str) -> int:
     return samples
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwlham",

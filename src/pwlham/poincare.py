@@ -3,11 +3,12 @@
 Orbits are integrated with the classical fixed-step fourth-order Runge-Kutta
 scheme, one zone at a time.  On an affine zone field one RK4 step is the
 order-4 Taylor polynomial of the flow in the step length, so a whole step is
-an affine map built once per zone.  A step that would cross a switching line
-is halved until the crossing is confined to a short step, then the crossing
-time is localized by safeguarded Newton on that step's quartic in its length
-minus the line's abscissa; the orbit is handed to the adjacent zone only
-when the contact classifies as a crossing.
+an affine map built once per zone.  The first step that leaves the zone's
+strip, or ends at the time budget, is evaluated once on its quartic in its
+length; if it crosses a switching line, the crossing time is localized by
+safeguarded Newton on that quartic minus the line's abscissa, inside the
+step.  The orbit is handed to the adjacent zone only when the contact
+classifies as a crossing.
 The first return to the right line with rightward motion defines the return
 map on that line, and Illinois false position on a sign-changing bracket of
 the displacement return_map(y) - y locates its fixed points, i.e. periodic
@@ -39,9 +40,6 @@ FIXED_POINT_Y_TOL = 1e-10
 # below this.
 EVENT_TOL = 1e-12
 
-# Hard floor on the step size; reaching it means the stepper is stuck.
-MIN_STEP = 1e-13
-
 
 class SlidingEncountered(RuntimeError):
     """The orbit reached a switching-line segment it cannot cross."""
@@ -49,10 +47,6 @@ class SlidingEncountered(RuntimeError):
     def __init__(self, message: str, trajectory: "Trajectory") -> None:
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class StepUnderflow(RuntimeError):
-    """Step-size control collapsed below the representable floor."""
 
 
 class NoReturn(RuntimeError):
@@ -75,26 +69,6 @@ class SwitchEvent:
 class Trajectory:
     states: tuple[FlowState, ...]
     events: tuple[SwitchEvent, ...]
-
-
-def _rk4_step(field, p: Point, h: float) -> Point:
-    a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
-    x, y = p
-    k1x = a * x + b * y + alpha
-    k1y = c * x - a * y + beta
-    x2, y2 = x + 0.5 * h * k1x, y + 0.5 * h * k1y
-    k2x = a * x2 + b * y2 + alpha
-    k2y = c * x2 - a * y2 + beta
-    x3, y3 = x + 0.5 * h * k2x, y + 0.5 * h * k2y
-    k3x = a * x3 + b * y3 + alpha
-    k3y = c * x3 - a * y3 + beta
-    x4, y4 = x + h * k3x, y + h * k3y
-    k4x = a * x4 + b * y4 + alpha
-    k4y = c * x4 - a * y4 + beta
-    return (
-        x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-    )
 
 
 def _base_step(system: PiecewiseSystem, tol: float) -> float:
@@ -193,20 +167,20 @@ def integrate_numeric(
     """Integrate the piecewise orbit from x0 for up to t_max time units.
 
     Whole RK4 steps apply each zone's affine step map while the next
-    abscissa stays strictly inside the zone's strip.  A step that reaches a
-    switching line is halved toward it, each trial evaluated with the step's
-    quartic in its length; the crossing time is then found by safeguarded
-    Newton on that quartic, to EVENT_TOL, and recorded in order.  A crossing
-    hands the orbit to the neighbouring zone, while a sliding/escaping/
-    tangential contact raises SlidingEncountered (with the partial
-    trajectory attached).  ``stop_event`` may end the run at a recorded
-    event, e.g. to realize a return map.
+    abscissa stays strictly inside the zone's strip.  The first step that
+    leaves the strip, or ends at t_max, is evaluated once on the step's
+    quartic in its length.  If it reaches a switching line, the crossing
+    time is found inside that step by safeguarded Newton on the quartic, to
+    EVENT_TOL, and recorded in order.  A crossing hands the orbit to the
+    neighbouring zone, while a sliding/escaping/tangential contact raises
+    SlidingEncountered (with the partial trajectory attached).
+    ``stop_event`` may end the run at a recorded event, e.g. to realize a
+    return map.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     zone = _initial_zone(system, x0)
     h_base = _base_step(system, tol)
-    h_event = h_base / 64.0
     # Per zone: its field, its strip, the lines bounding the strip (zone i
     # lies between lines i - 1 and i) and its step map at h_base.
     layout = system.layout
@@ -237,38 +211,23 @@ def integrate_numeric(
         while h_base <= t_whole - t:
             x_next = x + (e00 * x + e01 * y + ex)
             if not lo < x_next < hi:
-                h = h_base
-                p_next = (x_next, y + (e10 * x + e11 * y + ey))
                 break
             y += e10 * x + e11 * y + ey
             x = x_next
             t += h_base
             if record_states:
                 states.append(FlowState((x, y), t, zone))
-        else:
-            h = min(h_base, t_max - t)
-            if h <= 0.0 or t + h == t:
-                break  # t_max reached, or the rest is below t's resolution
-            p_next = _rk4_step(field, (x, y), h)
         p = (x, y)
+        h = min(h_base, t_max - t)
+        if h <= 0.0 or t + h == t:
+            break  # t_max reached, or the rest is below t's resolution
 
-        x_end = p_next[0]
+        x_quartic, y_quartic = _step_quartics(field, p)
+        x_end = _quartic(x_quartic, h)
         crossing_line = _crossed_line(zone_lines, x, x_end)
-        if crossing_line is not None:
-            x_quartic, y_quartic = _step_quartics(field, p)
-            while h > h_event:
-                h *= 0.5  # shrink toward the line before locating the event
-                if h < MIN_STEP:
-                    raise StepUnderflow(f"step collapsed to {h:g} at t = {t:g}")
-                x_end = _quartic(x_quartic, h)
-                crossing_line = _crossed_line(zone_lines, x, x_end)
-                if crossing_line is None:
-                    p_next = (x_end, _quartic(y_quartic, h))
-                    break
-
         if crossing_line is None:
             t += h
-            p = p_next
+            p = (x_end, _quartic(y_quartic, h))
             if record_states:
                 states.append(FlowState(p, t, zone))
             continue

@@ -314,6 +314,10 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
     argv = ["plot", "--input", str(ccc_path), "--output", out, "--samples", "5"]
     assert main(argv) == EXIT_OK
     assert set(counts) == {5}
+    counts.clear()
+    # The parser is built once per process; no option may leak between calls.
+    assert main(["plot", "--input", str(ccc_path), "--output", out]) == EXIT_OK
+    assert set(counts) == {256}
 
 
 def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):

@@ -10,7 +10,12 @@ import pytest
 
 from pwlham import poincare
 from pwlham.cycle import find_limit_cycle
-from pwlham.model import LinearHamiltonianField, PiecewiseSystem, hamiltonian_value
+from pwlham.model import (
+    LinearHamiltonianField,
+    PiecewiseSystem,
+    Point,
+    hamiltonian_value,
+)
 from pwlham.poincare import (
     DEFAULT_TOL,
     EVENT_TOL,
@@ -75,17 +80,17 @@ def test_event_times_increase_and_lie_on_lines(ccc):
 # RK4 steps (states - 1 - events) and switching events over one period,
 # from the certified corner 0 to 1.0001 periods.
 ORBIT_WORK = {
-    "CCC": (769, 4),
-    "SCC": (660, 4),
-    "SCS": (599, 4),
-    "CSC": (746, 4),
-    "SSS": (547, 4),
-    "SSC": (704, 4),
+    "CCC": (756, 4),
+    "SCC": (646, 4),
+    "SCS": (585, 4),
+    "CSC": (734, 4),
+    "SSS": (535, 4),
+    "SSC": (694, 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_WORK))
-def test_one_orbit_takes_pinned_work(examples, name):
+def test_one_orbit_takes_pinned_work(examples, monkeypatch, name):
     system = examples[name]
     cert = find_limit_cycle(system)
     trajectory = integrate_numeric(
@@ -94,6 +99,36 @@ def test_one_orbit_takes_pinned_work(examples, name):
     events = len(trajectory.events)
     steps = len(trajectory.states) - 1 - events
     assert (steps, events) == ORBIT_WORK[name]
+    # Each switching-line contact is one checked step on the step's quartic.
+    checked = []
+    step_quartics = poincare._step_quartics
+    monkeypatch.setattr(
+        poincare, "_step_quartics",
+        lambda field, p: checked.append(p) or step_quartics(field, p),
+    )
+    first_return(system, cert.corners[0][1])
+    assert len(checked) == events
+
+
+def _rk4_step(field, p: Point, h: float) -> Point:
+    """Reference: the classical RK4 step in stage form."""
+    a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
+    x, y = p
+    k1x = a * x + b * y + alpha
+    k1y = c * x - a * y + beta
+    x2, y2 = x + 0.5 * h * k1x, y + 0.5 * h * k1y
+    k2x = a * x2 + b * y2 + alpha
+    k2y = c * x2 - a * y2 + beta
+    x3, y3 = x + 0.5 * h * k2x, y + 0.5 * h * k2y
+    k3x = a * x3 + b * y3 + alpha
+    k3y = c * x3 - a * y3 + beta
+    x4, y4 = x + h * k3x, y + h * k3y
+    k4x = a * x4 + b * y4 + alpha
+    k4y = c * x4 - a * y4 + beta
+    return (
+        x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+    )
 
 
 def test_step_map_is_the_rk4_step(examples):
@@ -107,10 +142,19 @@ def test_step_map_is_the_rk4_step(examples):
             for _ in range(1000):
                 x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
                 got = (x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey))
-                want = poincare._rk4_step(field, (x, y), h)
+                want = _rk4_step(field, (x, y), h)
                 scale = max(abs(x), abs(y), abs(want[0]), abs(want[1]))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y)
+                # The checked step, a partial last step included, runs on
+                # the step's quartic in its length.
+                quartics = poincare._step_quartics(field, (x, y))
+                for tau in (h, h / 3.0, h / 64.0):
+                    got = tuple(poincare._quartic(q, tau) for q in quartics)
+                    want = _rk4_step(field, (x, y), tau)
+                    scale = max(abs(x), abs(y), abs(want[0]), abs(want[1]))
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y, tau)
 
 
 def _bisect_rk4_event(field, p, h, line_x):
@@ -121,7 +165,7 @@ def _bisect_rk4_event(field, p, h, line_x):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        if g0 * (poincare._rk4_step(field, p, mid)[0] - line_x) > 0.0:
+        if g0 * (_rk4_step(field, p, mid)[0] - line_x) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -149,7 +193,7 @@ def test_event_newton_root_matches_bisected_rk4_step(ccc, monkeypatch):
     for event, ((field, p), h, tau) in zip(trajectory.events, roots):
         line_x = ccc.layout.line_position(event.line)
         assert abs(tau - _bisect_rk4_event(field, p, h, line_x)) <= 1e-10 * h_base
-        assert abs(poincare._rk4_step(field, p, tau)[0] - line_x) <= EVENT_TOL
+        assert abs(_rk4_step(field, p, tau)[0] - line_x) <= EVENT_TOL
 
 
 def test_energy_drift_within_each_zone_segment(ccc):
