@@ -10,7 +10,7 @@ import argparse
 import random
 from collections import Counter
 
-from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate, solve_three_zone
+from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import certify
 from pwlham.model import LinearHamiltonianField, PiecewiseSystem, is_continuous
 
@@ -37,15 +37,15 @@ def main() -> None:
         )
         if is_continuous(system)[0]:
             continue
-        outcome = solve_three_zone(system)
-        if isinstance(outcome, NoSolution):
+        result = certify(system, samples_per_arc=8)
+        if isinstance(result.outcome, NoSolution):
             tally["no solution"] += 1
-        elif isinstance(outcome, Continuum):
+        elif isinstance(result.outcome, Continuum):
             tally["continuum"] += 1
         else:
-            assert isinstance(outcome, UniqueCycleCandidate)
+            assert isinstance(result.outcome, UniqueCycleCandidate)
             tally["unique candidate"] += 1
-            if certify(system, samples_per_arc=8).certificate is not None:
+            if result.certificate is not None:
                 certified += 1
 
     total = sum(tally.values())

@@ -33,6 +33,9 @@ from .model import (
 # |x-velocity| at or below this is a tangential contact.
 TANGENCY_TOL = 1e-10
 
+# A point within this distance of a switching line's abscissa lies on it.
+ON_LINE_TOL = 1e-9
+
 # Newton correction (or bracket width) at which the flight-time cross-check
 # stops refining.
 REFINE_TOL = 1e-12
@@ -105,13 +108,33 @@ def flow_closed_form(field: LinearHamiltonianField, p0: Point, t: float) -> Poin
 def orbit_samples(
     field: LinearHamiltonianField, p0: Point, t_end: float, n: int
 ) -> list[Point]:
-    """n flow points at equally spaced times in [0, t_end]; starts at p0."""
+    """n flow points at equally spaced times in [0, t_end]; starts at p0.
+
+    Sample k equals flow_closed_form(field, p0, k * step) bit for bit: the
+    arc's constants are derived once and the same operations run in order.
+    """
     if n < 2:
         raise ValueError("need at least two samples")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     step = t_end / (n - 1)
-    return [p0] + [flow_closed_form(field, p0, k * step) for k in range(1, n)]
+    info = field.singularity
+    px, py = info.location
+    dx, dy = p0[0] - px, p0[1] - py
+    m = info.modulus
+    vx = field.a * dx + field.b * dy
+    vy = field.c * dx - field.a * dy
+    if info.kind == "center":
+        even, odd = math.cos, math.sin
+    else:
+        even, odd = math.cosh, math.sinh
+    samples = [p0]
+    for k in range(1, n):
+        mt = m * (k * step)
+        cw = even(mt)
+        sw = odd(mt) / m
+        samples.append((px + cw * dx + sw * vx, py + cw * dy + sw * vy))
+    return samples
 
 
 def classify_boundary_point(
@@ -119,7 +142,7 @@ def classify_boundary_point(
 ) -> CrossingClassification:
     """Classify a switching-line point by its one-sided x-velocities."""
     line_x = system.layout.line_position(line_id)
-    if abs(p[0] - line_x) > 1e-9:
+    if abs(p[0] - line_x) > ON_LINE_TOL:
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
         )

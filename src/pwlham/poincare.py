@@ -10,9 +10,9 @@ safeguarded Newton on that quartic minus the line's abscissa, inside the
 step.  The orbit is handed to the adjacent zone only when the contact
 classifies as a crossing.
 The first return to the right line with rightward motion defines the return
-map on that line, and Illinois false position on a sign-changing bracket of
-the displacement return_map(y) - y locates its fixed points, i.e. periodic
-orbits.
+map on that line, and Anderson-Bjorck false position on a sign-changing
+bracket of the displacement return_map(y) - y locates its fixed points, i.e.
+periodic orbits.
 
 Everything here deliberately avoids the closed-form flow and flight-time
 machinery so that agreement between the two routes is meaningful evidence.
@@ -33,7 +33,7 @@ DEFAULT_TOL = 1e-9
 # Time budget for one return to the right line.
 RETURN_T_MAX = 100.0
 
-# fixed_point narrows the bracket by Illinois false position to this width.
+# fixed_point narrows the bracket by false position to this width.
 FIXED_POINT_Y_TOL = 1e-10
 
 # Event localization by Newton runs until the residual |x - line| falls
@@ -325,13 +325,15 @@ def fixed_point(
     bracket: tuple[float, float],
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Find a zero of the displacement return_map(y) - y by Illinois false position.
+    """Find a zero of the displacement return_map(y) - y by false position.
 
     The displacement must change sign across the bracket; its zero is the
     ordinate of a periodic orbit through the right switching line.  Each
     probe is the secant root of the bracket ends, kept FIXED_POINT_Y_TOL/2
-    inside them, and an end that survives two probes in a row has its
-    stored displacement halved (Dowell & Jarratt, BIT 11, 1971).  After as
+    inside them.  An end that survives two probes in a row has its stored
+    displacement scaled by 1 - d_new / d_replaced, the new probe's
+    displacement over that of the end it replaces, or halved when that
+    factor is not positive (Anderson & Bjorck, BIT 13, 1973).  After as
     many probes as bisection would need, the rest bisect, so the bracket
     always closes to FIXED_POINT_Y_TOL in at most twice that many.
     """
@@ -363,14 +365,16 @@ def fixed_point(
         if d == 0.0:
             return y
         if math.copysign(1.0, d) == math.copysign(1.0, d_lo):
-            y_lo, d_lo = y, d
             if kept == "hi":
-                d_hi *= 0.5
+                scale = 1.0 - d / d_lo
+                d_hi *= scale if scale > 0.0 else 0.5
+            y_lo, d_lo = y, d
             kept = "hi"
         else:
-            y_hi, d_hi = y, d
             if kept == "lo":
-                d_lo *= 0.5
+                scale = 1.0 - d / d_hi
+                d_lo *= scale if scale > 0.0 else 0.5
+            y_hi, d_hi = y, d
             kept = "lo"
     return 0.5 * (y_lo + y_hi)
 

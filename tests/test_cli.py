@@ -167,6 +167,32 @@ def test_plot_command_is_deterministic(ccc_path, tmp_path):
     assert "Σ_L" in text and "Σ_R" in text
 
 
+def _reference_orbit_samples(field, p0, t_end, n):
+    """The sampler as one flow_closed_form call per sample."""
+    step = t_end / (n - 1)
+    return [p0] + [flow.flow_closed_form(field, p0, k * step) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_sampler_outputs_match_the_per_sample_reference(
+    name, tmp_path, monkeypatch
+):
+    path = tmp_path / "system.json"
+    path.write_text(fixture_text(name), encoding="utf-8")
+
+    def outputs(tag):
+        written = []
+        for command, suffix in (("plot", "svg"), ("cycle", "json")):
+            out = tmp_path / f"{tag}.{suffix}"
+            assert main([command, "--input", str(path), "--output", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        return written
+
+    fast = outputs("fast")
+    monkeypatch.setattr(flow, "orbit_samples", _reference_orbit_samples)
+    assert outputs("reference") == fast
+
+
 def test_plot_without_cycle_draws_sample_orbit(continuous_path, tmp_path):
     svg = tmp_path / "cont.svg"
     code = main(["plot", "--input", str(continuous_path), "--output", str(svg)])
@@ -321,7 +347,7 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
 
 
 def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
-    # fixed_point on the widest bracket (two ends, 12 false-position
+    # fixed_point on the widest bracket (two ends, 9 false-position
     # probes), the upper end's displacement for the slope sign, and the
     # return time.
     calls = []
@@ -332,7 +358,7 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
     )
     out = str(tmp_path / "oracle.json")
     assert main(["oracle", "--input", str(ccc_path), "--output", out]) == EXIT_OK
-    assert len(calls) == 16
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize(

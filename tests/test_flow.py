@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwlham import flow
+from pwlham.cycle import ARC_ZONES, find_limit_cycle
 from pwlham.flow import (
     NeverReaches,
     TangentialContact,
@@ -121,6 +122,39 @@ def test_orbit_samples_reach_next_corner(examples):
     samples = orbit_samples(field, (1.0, y0), CCC_TIMES["t_R"], 100)
     assert samples[-1][0] == pytest.approx(1.0, abs=1e-8)
     assert samples[-1][1] == pytest.approx(y1, abs=1e-8)
+
+
+def _assert_samples_are_closed_form_flows(field, p0, t_end, n):
+    samples = orbit_samples(field, p0, t_end, n)
+    step = t_end / (n - 1)
+    assert len(samples) == n
+    for k, sample in enumerate(samples):
+        assert sample == flow_closed_form(field, p0, k * step), k
+
+
+@pytest.mark.parametrize("n", [2, 8, 256])
+def test_orbit_samples_are_the_closed_form_bit_for_bit(examples, n):
+    for system in examples.values():
+        cert = find_limit_cycle(system)
+        for zone, start, t in zip(ARC_ZONES, cert.corners, cert.flight_times):
+            _assert_samples_are_closed_form_flows(system.field(zone), start, t, n)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["center", "saddle"]),
+    st.integers(0, 10_000),
+    st.floats(1e-3, 4.0),
+    st.integers(2, 64),
+)
+def test_orbit_samples_match_closed_form_on_random_fields(kind, seed, t_scaled, n):
+    rng = random.Random(seed)
+    field = random_field(rng)
+    while classify_singularity(field).kind != kind:
+        field = random_field(rng)
+    t_end = t_scaled / classify_singularity(field).modulus
+    p = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+    _assert_samples_are_closed_form_flows(field, p, t_end, n)
 
 
 def test_orbit_samples_validates_arguments():
