@@ -28,7 +28,7 @@ def main() -> None:
             print(f"{name:<6} no limit cycle: {result.reason}")
             continue
         y0 = cert.corners[0][1]
-        numeric_y0 = fixed_point(system, (y0 - 1e-3, y0 + 1e-3), tol=1e-9)
+        numeric_y0 = fixed_point(system, (y0 - 1e-3, y0 + 1e-3), tol=1e-9).y
         _, return_time = first_return(system, numeric_y0, tol=1e-9)
         elapsed = time.perf_counter() - t0
         ys = [p[1] for p in cert.corners]

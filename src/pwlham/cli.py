@@ -284,7 +284,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     last_error: Exception | None = None
     for width in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4):
         try:
-            numeric_y0 = poincare.fixed_point(
+            numeric_y0, d_hi = poincare.fixed_point(
                 system, (y0 - width, y0 + width), tol=args.tol
             )
             break
@@ -297,9 +297,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             f"no sign-changing displacement bracket around y = {y0:g}"
             + (f" (last failure: {last_error})" if last_error else "")
         )
-    # The bracket's ends have displacements of opposite sign, so the upper
-    # one gives the slope: positive means nearby orbits move away.
-    d_hi = poincare.return_map(system, y0 + width, tol=args.tol) - (y0 + width)
     _, return_time = poincare.first_return(system, numeric_y0, tol=args.tol)
     y_gap = abs(numeric_y0 - y0)
     t_gap = abs(return_time - cert.period)
@@ -316,6 +313,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "analytic": {"y0": y0, "period": cert.period},
             "numeric": {"fixed_point": numeric_y0, "return_time": return_time},
             "difference": {"y0": y_gap, "period": t_gap},
+            # The bracket's ends have displacements of opposite sign, so the
+            # upper one gives the slope: positive means nearby orbits move away.
             "displacement_slope_sign": 1.0 if d_hi > 0.0 else -1.0,
             "tolerance": ORACLE_AGREEMENT_TOL,
             "agrees": agrees,

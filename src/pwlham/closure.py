@@ -16,6 +16,14 @@ survives the strict orderings y1 < y0, y2 < y3: the system either has no
 admissible solution, a unique candidate, or a continuum (never two isolated
 candidates).  The degenerate coefficient patterns are enumerated explicitly
 below and classified as no-solution or continuum.
+
+A solve does its per-system work once.  The continuity flag is
+model.is_continuous's, without violation text: the same differences and
+scaled tolerance that classify reports.  The dispatch tolerance
+DISPATCH_TOL * (1 + coefficient_scale) is computed once per solve.  The
+generic branch builds the conic coefficients and the outer eliminations from
+the fields already unpacked, with the formulas that hyperbola_coefficients
+and eliminate_outer also use.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .model import PiecewiseSystem, is_continuous
+from .model import LinearHamiltonianField, PiecewiseSystem, is_continuous
 
 # A coefficient (or derived combination) counts as zero for branch dispatch
 # below DISPATCH_TOL times the coefficient scale of the system.
@@ -159,7 +167,12 @@ def eliminate_outer(
         raise OuterZoneDegenerate(
             "outer elimination needs b_R != 0 and b_L != 0"
         )
+    return _outer_eliminations(lf, rf)
 
+
+def _outer_eliminations(
+    lf: LinearHamiltonianField, rf: LinearHamiltonianField
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
     def y0_of_y1(y1: float) -> float:
         return (-rf.b * y1 - 2.0 * (rf.a + rf.alpha)) / rf.b
 
@@ -179,6 +192,14 @@ def hyperbola_coefficients(system: PiecewiseSystem) -> HyperbolaCoefficients:
         raise OuterZoneDegenerate(
             "conic reduction needs b_R != 0 and b_L != 0"
         )
+    return _conic_coefficients(lf, cf, rf)
+
+
+def _conic_coefficients(
+    lf: LinearHamiltonianField,
+    cf: LinearHamiltonianField,
+    rf: LinearHamiltonianField,
+) -> HyperbolaCoefficients:
     return HyperbolaCoefficients(
         K=2.0 / cf.b,
         A=(rf.b * (cf.a + cf.alpha) - 2.0 * cf.b * (rf.a + rf.alpha))
@@ -273,12 +294,15 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
     on which of b_L, b_C, b_R (and the paired affine combinations) vanish;
     the all-nonzero branch intersects the two reduced conics and keeps the
     at most one intersection that respects both strict corner orderings.
+
+    The continuity flag is model.is_continuous's, taken without violation
+    text; every other zero test uses the dispatch tolerance
+    DISPATCH_TOL * (1 + coefficient_scale), computed once here.
     """
     lf, cf, rf = _three_fields(system)
     tol = _dispatch_tol(system)
 
-    continuous, _ = is_continuous(system)
-    if continuous:
+    if is_continuous(system, describe=False)[0]:
         if abs(cf.b) <= tol:
             return NoSolution(
                 "continuous with b = 0: the ordered matching equations are "
@@ -287,7 +311,7 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
         return Continuum(
             "continuous with b != 0: explicit one-parameter family of "
             "closed orbits",
-            _continuous_family(system),
+            _continuous_family(cf),
         )
 
     b_r_zero = abs(rf.b) <= tol
@@ -353,11 +377,11 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
             "combination nonzero)"
         )
 
-    return _solve_generic(system)
+    return _solve_generic(lf, cf, rf)
 
 
 def _continuous_family(
-    system: PiecewiseSystem,
+    cf: LinearHamiltonianField,
 ) -> Callable[[float], tuple[float, float, float]]:
     """Explicit closed-orbit family of a continuous system with b != 0.
 
@@ -365,7 +389,6 @@ def _continuous_family(
     equations, with a radicand that is a shifted square in b*y1 (real for
     |b y1 + a + alpha| large enough).
     """
-    cf = system.fields[1]
     a, b, alpha = cf.a, cf.b, cf.alpha
     beta_c = cf.beta
 
@@ -432,16 +455,20 @@ def conic_intersections(
     return None if roots is None else points
 
 
-def _solve_generic(system: PiecewiseSystem) -> ClosureOutcome:
+def _solve_generic(
+    lf: LinearHamiltonianField,
+    cf: LinearHamiltonianField,
+    rf: LinearHamiltonianField,
+) -> ClosureOutcome:
     """Intersect the two reduced conics (all three b coefficients nonzero)."""
-    points = conic_intersections(hyperbola_coefficients(system))
+    points = conic_intersections(_conic_coefficients(lf, cf, rf))
     if points is None:
         return Continuum(
             "the two reduced conics coincide or share a line: every common "
             "point closes"
         )
 
-    y0_of_y1, y2_of_y3 = eliminate_outer(system)
+    y0_of_y1, y2_of_y3 = _outer_eliminations(lf, rf)
     admissible = []
     for y1, y3 in points:
         y0 = y0_of_y1(y1)

@@ -141,14 +141,13 @@ def classify_boundary_point(
     system: PiecewiseSystem, p: Point, line_id: str
 ) -> CrossingClassification:
     """Classify a switching-line point by its one-sided x-velocities."""
-    line_x = system.layout.line_position(line_id)
+    line_x, minus_field, plus_field = system.line_fields(line_id)
     if abs(p[0] - line_x) > ON_LINE_TOL:
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
         )
-    minus_zone, plus_zone = system.layout.zones_beside(line_id)
-    d_minus = vector_field_value(system.field(minus_zone), p)[0]
-    d_plus = vector_field_value(system.field(plus_zone), p)[0]
+    d_minus = vector_field_value(minus_field, p)[0]
+    d_plus = vector_field_value(plus_field, p)[0]
     if abs(d_minus) <= TANGENCY_TOL or abs(d_plus) <= TANGENCY_TOL:
         label = "tangency"
     elif d_minus * d_plus > 0.0:

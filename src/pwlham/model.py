@@ -36,7 +36,9 @@ Point = tuple[float, float]
 # singularity; closed-form flows divide by sqrt(|a**2 + b*c|).
 NONDEGENERACY_TOL = 1e-12
 
-# Componentwise tolerance for matching fields across a switching line.
+# Componentwise tolerance for matching fields across a switching line: a
+# difference counts as zero up to CONTINUITY_TOL * (1 + coefficient_scale),
+# scaled as closure.DISPATCH_TOL is.
 CONTINUITY_TOL = 1e-12
 
 
@@ -101,11 +103,10 @@ class ZoneLayout:
         return len(self.zone_ids)
 
     @cached_property
-    def _lines(self) -> dict[str, tuple[float, str, str]]:
-        """line id -> (abscissa, zone on the x < line side, zone on the x > side)."""
+    def _lines(self) -> dict[str, tuple[float, int]]:
+        """line id -> (abscissa, i): zones i and i + 1 lie on its x < and x > sides."""
         return {
-            line_id: (x, *self.zone_ids[i : i + 2])
-            for i, (line_id, x) in enumerate(self.switching_lines)
+            line_id: (x, i) for i, (line_id, x) in enumerate(self.switching_lines)
         }
 
     @cached_property
@@ -119,7 +120,8 @@ class ZoneLayout:
 
     def zones_beside(self, line_id: str) -> tuple[str, str]:
         """Zone ids on the (x < line, x > line) sides of a switching line."""
-        return _lookup(self._lines, line_id, "switching line")[1:]
+        i = _lookup(self._lines, line_id, "switching line")[1]
+        return self.zone_ids[i : i + 2]
 
     def zone_interval(self, zone_id: str) -> tuple[float, float]:
         """Open x-interval of a zone's strip."""
@@ -168,10 +170,22 @@ class PiecewiseSystem:
     def field(self, zone_id: str) -> LinearHamiltonianField:
         return self.fields[self.layout.zone_ids.index(zone_id)]
 
+    def line_fields(
+        self, line_id: str
+    ) -> tuple[float, LinearHamiltonianField, LinearHamiltonianField]:
+        """A switching line's abscissa and the fields on its x < and x > sides."""
+        x, i = _lookup(self.layout._lines, line_id, "switching line")
+        return (x, self.fields[i], self.fields[i + 1])
+
     @cached_property
     def coefficient_scale(self) -> float:
         """Largest coefficient magnitude; used for scale-aware tolerances."""
-        return max(abs(v) for f in self.fields for v in f.coefficients())
+        return max(
+            [
+                max(abs(f.a), abs(f.b), abs(f.c), abs(f.alpha), abs(f.beta))
+                for f in self.fields
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -226,36 +240,43 @@ def classify_singularity(field: LinearHamiltonianField) -> SingularKind:
     return SingularKind("saddle", math.sqrt(det), (px, py))
 
 
-def is_continuous(system: PiecewiseSystem) -> tuple[bool, list[str]]:
+def is_continuous(
+    system: PiecewiseSystem, describe: bool = True
+) -> tuple[bool, list[str]]:
     """Whether adjacent zone fields agree on every switching-line point.
 
     Matching X values for all y on a vertical line pins a, b and alpha across
     the zones; the second components additionally couple beta with c through
     the line abscissa.  Returns the flag and a description of each violated
-    constraint.
+    constraint; with ``describe`` false the list stays empty, for callers
+    (closure dispatch) that need the flag alone.
     """
-    violations: list[str] = []
-
-    def check(value: float, description: str) -> None:
-        if abs(value) > CONTINUITY_TOL:
-            violations.append(f"{description} = {value:g}")
-
     if system.layout.n_zones == 2:
         lf, rf = system.fields
-        check(rf.a - lf.a, "a_R - a_L")
-        check(rf.b - lf.b, "b_R - b_L")
-        check(rf.alpha - lf.alpha, "alpha_R - alpha_L")
-        check(rf.beta - lf.beta, "beta_R - beta_L")
+        gaps = {
+            "a_R - a_L": rf.a - lf.a,
+            "b_R - b_L": rf.b - lf.b,
+            "alpha_R - alpha_L": rf.alpha - lf.alpha,
+            "beta_R - beta_L": rf.beta - lf.beta,
+        }
     else:
         lf, cf, rf = system.fields
-        check(rf.a - cf.a, "a_R - a_C")
-        check(lf.a - cf.a, "a_L - a_C")
-        check(rf.b - cf.b, "b_R - b_C")
-        check(lf.b - cf.b, "b_L - b_C")
-        check(rf.alpha - cf.alpha, "alpha_R - alpha_C")
-        check(lf.alpha - cf.alpha, "alpha_L - alpha_C")
-        check(rf.beta - cf.beta - cf.c + rf.c, "beta_R - beta_C - c_C + c_R")
-        check(lf.beta - cf.beta - lf.c + cf.c, "beta_L - beta_C - c_L + c_C")
+        gaps = {
+            "a_R - a_C": rf.a - cf.a,
+            "a_L - a_C": lf.a - cf.a,
+            "b_R - b_C": rf.b - cf.b,
+            "b_L - b_C": lf.b - cf.b,
+            "alpha_R - alpha_C": rf.alpha - cf.alpha,
+            "alpha_L - alpha_C": lf.alpha - cf.alpha,
+            "beta_R - beta_C - c_C + c_R": rf.beta - cf.beta - cf.c + rf.c,
+            "beta_L - beta_C - c_L + c_C": lf.beta - cf.beta - lf.c + cf.c,
+        }
+    tol = CONTINUITY_TOL * (1.0 + system.coefficient_scale)
+    if not describe:
+        return (not any(abs(gap) > tol for gap in gaps.values()), [])
+    violations = [
+        f"{name} = {gap:g}" for name, gap in gaps.items() if abs(gap) > tol
+    ]
     return (not violations, violations)
 
 

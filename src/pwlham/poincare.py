@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, IO, Optional
+from typing import Callable, IO, NamedTuple, Optional
 
 from .flow import FlowState, classify_boundary_point, CrossingClassification
 from .model import PiecewiseSystem, Point
@@ -55,6 +55,14 @@ class NoReturn(RuntimeError):
 
 class BadBracket(ValueError):
     """The displacement does not change sign over the given bracket."""
+
+
+class FixedPoint(NamedTuple):
+    """A zero y of the displacement return_map(y) - y, and the displacement
+    d_hi at the upper end of the bracket it was found in."""
+
+    y: float
+    d_hi: float
 
 
 @dataclass(frozen=True)
@@ -324,11 +332,13 @@ def fixed_point(
     system: PiecewiseSystem,
     bracket: tuple[float, float],
     tol: float = DEFAULT_TOL,
-) -> float:
+) -> FixedPoint:
     """Find a zero of the displacement return_map(y) - y by false position.
 
     The displacement must change sign across the bracket; its zero is the
-    ordinate of a periodic orbit through the right switching line.  Each
+    ordinate of a periodic orbit through the right switching line.  The
+    displacement at the bracket's upper end is returned with it, so a caller
+    reads the slope's sign without another return map.  Each
     probe is the secant root of the bracket ends, kept FIXED_POINT_Y_TOL/2
     inside them.  An end that survives two probes in a row has its stored
     displacement scaled by 1 - d_new / d_replaced, the new probe's
@@ -342,10 +352,11 @@ def fixed_point(
         raise BadBracket(f"empty bracket {bracket}")
     d_lo = return_map(system, y_lo, tol) - y_lo
     d_hi = return_map(system, y_hi, tol) - y_hi
+    d_upper = d_hi
     if d_lo == 0.0:
-        return y_lo
+        return FixedPoint(y_lo, d_upper)
     if d_hi == 0.0:
-        return y_hi
+        return FixedPoint(y_hi, d_upper)
     if math.copysign(1.0, d_lo) == math.copysign(1.0, d_hi):
         raise BadBracket(
             f"displacement has the same sign at both ends of {bracket}: "
@@ -363,7 +374,7 @@ def fixed_point(
             y = 0.5 * (y_lo + y_hi)
         d = return_map(system, y, tol) - y
         if d == 0.0:
-            return y
+            return FixedPoint(y, d_upper)
         if math.copysign(1.0, d) == math.copysign(1.0, d_lo):
             if kept == "hi":
                 scale = 1.0 - d / d_lo
@@ -376,7 +387,7 @@ def fixed_point(
                 d_lo *= scale if scale > 0.0 else 0.5
             y_hi, d_hi = y, d
             kept = "lo"
-    return 0.5 * (y_lo + y_hi)
+    return FixedPoint(0.5 * (y_lo + y_hi), d_upper)
 
 
 def trajectory_to_csv(trajectory: Trajectory, stream: IO[str]) -> None:

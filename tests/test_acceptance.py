@@ -122,7 +122,7 @@ def test_criterion_4_oracle_fixed_points(examples):
     for name, system in examples.items():
         y0 = GOLDEN_CORNERS[name][0]
         t0 = time.perf_counter()
-        got = fixed_point(system, (y0 - 1e-3, y0 + 1e-3), tol=1e-9)
+        got = fixed_point(system, (y0 - 1e-3, y0 + 1e-3), tol=1e-9).y
         elapsed = time.perf_counter() - t0
         gap = abs(got - y0)
         worst = max(worst, gap)

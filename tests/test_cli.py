@@ -44,6 +44,32 @@ def continuous_path(tmp_path):
     return path
 
 
+def test_continuity_tolerance_scales_with_the_coefficients(tmp_path, capsys):
+    # Exactly continuous, but the float beta/c sums miss zero by ~1.8e-12,
+    # above an absolute 1e-12 and far below 1e-12 times the 1.6e4 scale.
+    doc = {
+        "layout": "three",
+        "zones": [
+            {"a": "1", "b": "2", "c": "12568/3", "alpha": "1/2", "beta": "46588/3"},
+            {"a": "1", "b": "2", "c": "-28538/3", "alpha": "1/2", "beta": "5482/3"},
+            {"a": "1", "b": "2", "c": "-28333/3", "alpha": "1/2", "beta": "1759"},
+        ],
+    }
+    path = tmp_path / "rounding.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["continuous"] is True
+    assert report["continuity_violations"] == []
+    assert main(["solve", "--input", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "outcome": "continuum",
+        "description": "continuous with b != 0: explicit one-parameter family "
+        "of closed orbits",
+        "has_parametrization": True,
+    }
+
+
 def test_bundle_examples_names_and_coefficients():
     systems = dict(bundle_examples())
     assert tuple(systems) == FIXTURE_NAMES
@@ -348,8 +374,7 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
 
 def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
     # fixed_point on the widest bracket (two ends, 9 false-position
-    # probes), the upper end's displacement for the slope sign, and the
-    # return time.
+    # probes; the upper end also gives the slope sign) and the return time.
     calls = []
     first_return = poincare.first_return
     monkeypatch.setattr(
@@ -358,7 +383,7 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
     )
     out = str(tmp_path / "oracle.json")
     assert main(["oracle", "--input", str(ccc_path), "--output", out]) == EXIT_OK
-    assert len(calls) == 13
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize(

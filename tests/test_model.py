@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pwlham.closure import solve_three_zone
 from pwlham.model import (
+    CONTINUITY_TOL,
     THREE_ZONE,
     TWO_ZONE,
     DegenerateField,
@@ -25,7 +28,14 @@ from pwlham.model import (
 )
 from pwlham.flow import flow_closed_form
 
-from conftest import GOLDEN_CORNERS, random_field, random_continuous_three_zone
+from conftest import (
+    GOLDEN_CORNERS,
+    random_continuous_three_zone,
+    random_continuous_two_zone,
+    random_field,
+    random_three_zone,
+    random_two_zone,
+)
 
 coef = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -186,7 +196,54 @@ def test_layout_tables(layout, zones, lines, beside, intervals):
 def test_example_system_is_discontinuous(examples):
     flag, violations = is_continuous(examples["CCC"])
     assert flag is False
-    assert violations
+    assert violations == [
+        "a_R - a_C = 4",
+        "a_L - a_C = 4",
+        "b_L - b_C = 6",
+        "alpha_R - alpha_C = -4.66667",
+        "alpha_L - alpha_C = 0.833333",
+        "beta_R - beta_C - c_C + c_R = -12.6667",
+        "beta_L - beta_C - c_L + c_C = 2.58333",
+    ]
+
+
+def _nudged(system, zone, key, delta):
+    fields = list(system.fields)
+    field = fields[zone]
+    fields[zone] = dataclasses.replace(field, **{key: getattr(field, key) + delta})
+    return PiecewiseSystem(system.layout, tuple(fields))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["two", "three"]))
+def test_dispatch_flag_agrees_with_is_continuous(seed, layout):
+    rng = random.Random(seed)
+    if layout == "two":
+        continuous = random_continuous_two_zone(rng)
+        discontinuous = random_two_zone(rng)
+    else:
+        continuous = random_continuous_three_zone(rng)
+        discontinuous = random_three_zone(rng)
+    tol = CONTINUITY_TOL * (1.0 + continuous.coefficient_scale)
+    # (system, expected flag): every coefficient nudged just below and just
+    # above the tolerance.  Two-zone continuity leaves c free.
+    cases = [(continuous, True), (discontinuous, None)]
+    for zone in range(continuous.layout.n_zones):
+        for key in ("a", "b", "c", "alpha", "beta"):
+            sign = rng.choice((-1.0, 1.0))
+            cases.append((_nudged(continuous, zone, key, sign * 0.5 * tol), True))
+            above = _nudged(continuous, zone, key, sign * 2.0 * tol)
+            cases.append((above, layout == "two" and key == "c"))
+    for system, expected in cases:
+        flag, violations = is_continuous(system)
+        assert is_continuous(system, describe=False) == (flag, [])
+        assert flag == (not violations)
+        if expected is not None:
+            assert flag == expected
+        if layout == "three":
+            # solve_three_zone takes its continuous branch exactly on the flag.
+            outcome = solve_three_zone(system)
+            text = getattr(outcome, "reason", "") or getattr(outcome, "description", "")
+            assert text.startswith("continuous with") == flag
 
 
 def test_constructed_continuous_three_zone_flags_true():

@@ -239,12 +239,14 @@ def test_displacement_changes_sign_across_cycle(ccc):
 def test_fixed_point_from_wide_bracket(ccc):
     y0 = GOLDEN_CORNERS["CCC"][0]
     got = fixed_point(ccc, (y0 - 0.2, y0 + 0.2))
-    assert got == pytest.approx(y0, abs=1e-6)
+    assert got.y == pytest.approx(y0, abs=1e-6)
+    # The upper end's displacement, as the oracle reads the slope from it.
+    assert got.d_hi == return_map(ccc, y0 + 0.2) - (y0 + 0.2)
 
 
 def test_fixed_point_for_saddle_example(examples):
     y0 = GOLDEN_CORNERS["SSS"][0]
-    got = fixed_point(examples["SSS"], (y0 - 1e-3, y0 + 1e-3))
+    got = fixed_point(examples["SSS"], (y0 - 1e-3, y0 + 1e-3)).y
     assert got == pytest.approx(y0, abs=1e-6)
 
 
@@ -256,7 +258,7 @@ def test_fixed_point_from_asymmetric_bracket(examples):
     for name, system in examples.items():
         y0 = GOLDEN_CORNERS[name][0]
         for below, above in ((9e-3, 3e-3), (3e-3, 1e-2)):
-            got = fixed_point(system, (y0 - below, y0 + above))
+            got = fixed_point(system, (y0 - below, y0 + above)).y
             assert got == pytest.approx(y0, abs=1e-6), (name, below, above)
 
 
@@ -297,7 +299,8 @@ def test_fixed_point_worst_cases(monkeypatch, displacement, bracket):
         return y + displacement(y)
 
     monkeypatch.setattr(poincare, "return_map", synthetic_return_map)
-    got = fixed_point(None, bracket)
+    got, d_hi = fixed_point(None, bracket)
+    assert d_hi == (bracket[1] + displacement(bracket[1])) - bracket[1]
     assert bracket[0] <= got <= bracket[1]
     assert abs(got - _R) <= FIXED_POINT_Y_TOL
     width = bracket[1] - bracket[0]
