@@ -16,14 +16,6 @@ survives the strict orderings y1 < y0, y2 < y3: the system either has no
 admissible solution, a unique candidate, or a continuum (never two isolated
 candidates).  The degenerate coefficient patterns are enumerated explicitly
 below and classified as no-solution or continuum.
-
-A solve does its per-system work once.  The continuity flag is
-model.is_continuous's, without violation text: the same differences and
-scaled tolerance that classify reports.  The dispatch tolerance
-DISPATCH_TOL * (1 + coefficient_scale) is computed once per solve.  The
-generic branch builds the conic coefficients and the outer eliminations from
-the fields already unpacked, with the formulas that hyperbola_coefficients
-and eliminate_outer also use.
 """
 
 from __future__ import annotations
@@ -43,14 +35,6 @@ DISPATCH_TOL = 1e-10
 CLAMP_TOL = 1e-12
 
 
-class OuterZoneDegenerate(ValueError):
-    """An outer zone has b = 0; the elimination step does not apply."""
-
-
-class InnerZoneDegenerate(ValueError):
-    """The inner zone has b = 0; the conic reduction does not apply."""
-
-
 @dataclass(frozen=True)
 class ClosureResiduals:
     """Left-hand sides of the energy-matching equations at trial ordinates."""
@@ -59,25 +43,6 @@ class ClosureResiduals:
 
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class HyperbolaCoefficients:
-    """Coefficients of the two reduced conics in the (y1, y3) plane.
-
-    Both conics have the form (y1 - h)^2 / K - (y3 - k)^2 / K - C = 0 with
-    the shared K = 2 / b_C and offset C; the first has centre offsets (A, B),
-    the second (D, E).  The first equals the upper C-arc matching equation
-    after eliminating y0, the second is the negated lower C-arc matching
-    equation after eliminating y2.
-    """
-
-    K: float
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
 
 
 @dataclass(frozen=True)
@@ -151,71 +116,6 @@ def residuals_three_zone(
 
 def _dispatch_tol(system: PiecewiseSystem) -> float:
     return DISPATCH_TOL * (1.0 + system.coefficient_scale)
-
-
-def eliminate_outer(
-    system: PiecewiseSystem,
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Express y0 through y1 (R-zone arc) and y2 through y3 (L-zone arc).
-
-    The outer matching equations factor as (corner gap) times an affine
-    function of the corner sum; with b != 0 the second factor pins the sum.
-    """
-    lf, cf, rf = _three_fields(system)
-    tol = _dispatch_tol(system)
-    if abs(rf.b) <= tol or abs(lf.b) <= tol:
-        raise OuterZoneDegenerate(
-            "outer elimination needs b_R != 0 and b_L != 0"
-        )
-    return _outer_eliminations(lf, rf)
-
-
-def _outer_eliminations(
-    lf: LinearHamiltonianField, rf: LinearHamiltonianField
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    def y0_of_y1(y1: float) -> float:
-        return (-rf.b * y1 - 2.0 * (rf.a + rf.alpha)) / rf.b
-
-    def y2_of_y3(y3: float) -> float:
-        return (-lf.b * y3 - 2.0 * (lf.alpha - lf.a)) / lf.b
-
-    return (y0_of_y1, y2_of_y3)
-
-
-def hyperbola_coefficients(system: PiecewiseSystem) -> HyperbolaCoefficients:
-    """Conic coefficients of the reduced (y1, y3) system."""
-    lf, cf, rf = _three_fields(system)
-    tol = _dispatch_tol(system)
-    if abs(cf.b) <= tol:
-        raise InnerZoneDegenerate("conic reduction needs b_C != 0")
-    if abs(rf.b) <= tol or abs(lf.b) <= tol:
-        raise OuterZoneDegenerate(
-            "conic reduction needs b_R != 0 and b_L != 0"
-        )
-    return _conic_coefficients(lf, cf, rf)
-
-
-def _conic_coefficients(
-    lf: LinearHamiltonianField,
-    cf: LinearHamiltonianField,
-    rf: LinearHamiltonianField,
-) -> HyperbolaCoefficients:
-    return HyperbolaCoefficients(
-        K=2.0 / cf.b,
-        A=(rf.b * (cf.a + cf.alpha) - 2.0 * cf.b * (rf.a + rf.alpha))
-        / (cf.b * rf.b),
-        B=(cf.a - cf.alpha) / cf.b,
-        C=2.0 * (cf.a * cf.alpha + cf.b * cf.beta) / cf.b,
-        D=-(cf.a + cf.alpha) / cf.b,
-        E=(lf.b * (cf.alpha - cf.a) - 2.0 * cf.b * (lf.alpha - lf.a))
-        / (cf.b * lf.b),
-    )
-
-
-def _three_fields(system: PiecewiseSystem):
-    if system.layout.n_zones != 3:
-        raise ValueError("expected a three-zone system")
-    return system.fields
 
 
 def solve(system: PiecewiseSystem) -> ClosureOutcome:
@@ -299,7 +199,9 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
     text; every other zero test uses the dispatch tolerance
     DISPATCH_TOL * (1 + coefficient_scale), computed once here.
     """
-    lf, cf, rf = _three_fields(system)
+    if system.layout.n_zones != 3:
+        raise ValueError("expected a three-zone system")
+    lf, cf, rf = system.fields
     tol = _dispatch_tol(system)
 
     if is_continuous(system, describe=False)[0]:
@@ -413,18 +315,33 @@ def _continuous_family(
     return family
 
 
-def conic_intersections(
-    conics: HyperbolaCoefficients,
-) -> Optional[list[tuple[float, float]]]:
-    """All real intersection points of the two reduced conics.
+def conic_solutions(
+    lf: LinearHamiltonianField,
+    cf: LinearHamiltonianField,
+    rf: LinearHamiltonianField,
+) -> Optional[list[tuple[float, float, float, float]]]:
+    """Every real corner tuple (y0, y1, y2, y3) of the reduced conics.
 
-    Subtracting the conics (they share the quadratic part) leaves a line;
-    substituting the line into either conic leaves one quadratic, hence at
-    most two points.  Returns None when the system degenerates to infinitely
-    many common points (coincident conics, or the difference line lying
-    inside the shared conic).
+    Needs b_L, b_C and b_R nonzero.  Eliminating y0 from the upper C-arc
+    equation and y2 from the lower one leaves two conics in the (y1, y3)
+    plane, (y1 - h)^2 / K - (y3 - k)^2 / K - C = 0 with the shared K = 2 / b_C
+    and offset C, and centre offsets (h, k) = (A, B) and (D, E).  Subtracting
+    them (they share the quadratic part) leaves a line; substituting the line
+    into the first leaves one quadratic, hence at most two points.  The
+    tuples are not filtered by the corner orderings.  Returns None when the
+    conics coincide or the difference line lies inside them (infinitely many
+    common points).
     """
-    K, A, B, C, D, E = conics.K, conics.A, conics.B, conics.C, conics.D, conics.E
+    K = 2.0 / cf.b
+    A = (rf.b * (cf.a + cf.alpha) - 2.0 * cf.b * (rf.a + rf.alpha)) / (
+        cf.b * rf.b
+    )
+    B = (cf.a - cf.alpha) / cf.b
+    C = 2.0 * (cf.a * cf.alpha + cf.b * cf.beta) / cf.b
+    D = -(cf.a + cf.alpha) / cf.b
+    E = (lf.b * (cf.alpha - cf.a) - 2.0 * cf.b * (lf.alpha - lf.a)) / (
+        cf.b * lf.b
+    )
     conic_scale = 1.0 + max(abs(A), abs(B), abs(D), abs(E))
     if (
         abs(A - D) <= DISPATCH_TOL * conic_scale
@@ -452,7 +369,19 @@ def conic_intersections(
         qc = A * A - k * k + 2.0 * B * k - B * B - K * C
         roots = _conic_roots(qa, qb, qc)
         points = [(y1, m * y1 + k) for y1 in roots or ()]
-    return None if roots is None else points
+    if roots is None:
+        return None
+    # The outer equations factor as (corner gap) times an affine function of
+    # the corner sum; with b != 0 the second factor pins y0 and y2.
+    return [
+        (
+            (-rf.b * y1 - 2.0 * (rf.a + rf.alpha)) / rf.b,
+            y1,
+            (-lf.b * y3 - 2.0 * (lf.alpha - lf.a)) / lf.b,
+            y3,
+        )
+        for y1, y3 in points
+    ]
 
 
 def _solve_generic(
@@ -461,22 +390,15 @@ def _solve_generic(
     rf: LinearHamiltonianField,
 ) -> ClosureOutcome:
     """Intersect the two reduced conics (all three b coefficients nonzero)."""
-    points = conic_intersections(_conic_coefficients(lf, cf, rf))
-    if points is None:
+    corners = conic_solutions(lf, cf, rf)
+    if corners is None:
         return Continuum(
             "the two reduced conics coincide or share a line: every common "
             "point closes"
         )
-
-    y0_of_y1, y2_of_y3 = _outer_eliminations(lf, rf)
-    admissible = []
-    for y1, y3 in points:
-        y0 = y0_of_y1(y1)
-        y2 = y2_of_y3(y3)
-        if y1 < y0 and y2 < y3:
-            admissible.append(UniqueCycleCandidate(y0, y1, y2, y3))
-    if not admissible:
-        if points:
+    ordered = [c for c in corners if c[1] < c[0] and c[2] < c[3]]
+    if not ordered:
+        if corners:
             return NoSolution(
                 "conic intersections violate the corner orderings "
                 "y1 < y0, y2 < y3"
@@ -484,11 +406,9 @@ def _solve_generic(
         return NoSolution("the two reduced conics do not intersect")
     # The swap symmetry guarantees at most one ordered candidate; prefer the
     # wider-margin one should rounding ever let both through.
-    best = max(
-        admissible,
-        key=lambda s: min(s.y0 - s.y1, s.y3 - s.y2),
+    return UniqueCycleCandidate(
+        *max(ordered, key=lambda c: min(c[0] - c[1], c[3] - c[2]))
     )
-    return best
 
 
 def _conic_roots(qa: float, qb: float, qc: float) -> Optional[list[float]]:

@@ -113,8 +113,8 @@ def certify(
     """Run the closure analysis and, if it isolates a candidate, certify it.
 
     A candidate is rejected (certificate None, reason filled in) if a corner
-    is not a transversal crossing, an arc fails to reach its target line, or
-    the chained arcs do not close up.
+    is not a transversal crossing, an arc fails to reach its target line or
+    to confirm its arrival time, or the chained arcs do not close up.
     """
     outcome = closure.solve(system)
     if isinstance(outcome, closure.NoSolution):
@@ -158,7 +158,7 @@ def _build_certificate(
     for field, start, end in _arcs(system, corners):
         try:
             t = flow.flight_time(field, start, end[0])
-        except (flow.NeverReaches, flow.TangentialContact) as exc:
+        except (flow.NeverReaches, flow.TangentialContact, ArithmeticError) as exc:
             raise _CandidateRejected(
                 f"arc from {start} toward x = {end[0]:g} is not "
                 f"realizable: {exc}"

@@ -72,9 +72,6 @@ class LinearHamiltonianField:
         """a**2 + b*c, the negated determinant of the linear part."""
         return self.a * self.a + self.b * self.c
 
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.a, self.b, self.c, self.alpha, self.beta)
-
     @cached_property
     def singularity(self) -> "SingularKind":
         """Type, modulus and location of the singular point, derived once."""

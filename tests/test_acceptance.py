@@ -16,10 +16,9 @@ import pytest
 
 from pwlham.closure import (
     Continuum,
+    DISPATCH_TOL,
     UniqueCycleCandidate,
-    conic_intersections,
-    eliminate_outer,
-    hyperbola_coefficients,
+    conic_solutions,
     residuals_three_zone,
     solve_three_zone,
     solve_two_zone,
@@ -185,20 +184,16 @@ def test_criterion_6_at_most_one_and_swap_symmetry():
             continue
         outcome = solve_three_zone(system)
         lf, cf, rf = system.fields
-        tol_scale = 1e-10 * (1.0 + max(
-            abs(v) for f in system.fields for v in f.coefficients()
-        ))
+        tol_scale = DISPATCH_TOL * (1.0 + system.coefficient_scale)
         generic = min(abs(lf.b), abs(cf.b), abs(rf.b)) > tol_scale
         if not generic:
             continue
-        points = conic_intersections(hyperbola_coefficients(system))
-        if points is None:
+        corners = conic_solutions(lf, cf, rf)
+        if corners is None:
             assert isinstance(outcome, Continuum)
             continue
-        y0_of_y1, y2_of_y3 = eliminate_outer(system)
         ordered = 0
-        for y1, y3 in points:
-            y0, y2 = y0_of_y1(y1), y2_of_y3(y3)
+        for y0, y1, y2, y3 in corners:
             r = residuals_three_zone(system, y0, y1, y2, y3)
             scale = 1.0 + max(abs(v) for v in (y0, y1, y2, y3)) ** 2
             assert r.max_abs() <= 1e-7 * scale

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,20 +29,13 @@ def ccc_path(tmp_path):
     return path
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 @pytest.fixture()
-def continuous_path(tmp_path):
+def continuous_path():
     # a = b = alpha shared, beta absorbing the c jumps: a continuous system.
-    doc = {
-        "layout": "three",
-        "zones": [
-            {"a": "1", "b": "2", "c": "1", "alpha": "1/2", "beta": "3/2"},
-            {"a": "1", "b": "2", "c": "1/2", "alpha": "1/2", "beta": "1"},
-            {"a": "1", "b": "2", "c": "2", "alpha": "1/2", "beta": "-1/2"},
-        ],
-    }
-    path = tmp_path / "continuous.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
+    return GOLDEN / "continuous.input.json"
 
 
 def test_continuity_tolerance_scales_with_the_coefficients(tmp_path, capsys):
@@ -302,15 +296,7 @@ def test_round_trip_solve_is_identical(ccc_path, tmp_path):
 
 
 def test_two_zone_input_supported(tmp_path):
-    doc = {
-        "layout": "two",
-        "zones": [
-            {"a": 0, "b": 1, "c": -1, "alpha": 0, "beta": "1/3"},
-            {"a": "1/2", "b": 1, "c": -1, "alpha": 0, "beta": 0},
-        ],
-    }
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(doc))
+    path = GOLDEN / "two_zone.input.json"
     out = tmp_path / "out.json"
     assert main(["solve", "--input", str(path), "--output", str(out)]) == EXIT_OK
     solved = json.loads(out.read_text())
@@ -319,6 +305,42 @@ def test_two_zone_input_supported(tmp_path):
     assert {z["zone"] for z in json.loads(out.read_text())["zones"]} == {"L", "R"}
     assert main(["cycle", "--input", str(path), "--output", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["limit_cycle"] is False
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize(
+    "name",
+    [n.lower() for n in FIXTURE_NAMES] + ["continuous", "two_zone", "scs_grazing"],
+)
+def test_output_matches_golden_bytes(name, command, tmp_path, capsys):
+    # Only +, -, *, / and sqrt reach these outputs, so the bytes are the same
+    # on every IEEE platform.
+    path = GOLDEN / f"{name}.input.json"
+    if name.upper() in FIXTURE_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(fixture_text(name), encoding="utf-8")
+    assert main([command, "--input", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{name}.{command}.json").read_text(
+        encoding="utf-8"
+    )
+
+
+def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
+    # SCS with a_C moved so the C-arc arrives at x = -1 with an x-velocity
+    # of ~1.9e-8: transversal by TANGENCY_TOL, but too flat to bracket.
+    path = GOLDEN / "scs_grazing.input.json"
+    outputs = {}
+    for argv in (["cycle"], ["verify"], ["oracle"],
+                 ["plot", "--output", str(tmp_path / "grazing.svg")]):
+        assert main(argv + ["--input", str(path)]) == EXIT_OK, argv
+        outputs[argv[0]] = capsys.readouterr()
+        assert outputs[argv[0]].err == "", argv
+    doc = json.loads(outputs["cycle"].out)
+    assert doc["closure"]["outcome"] == "unique_candidate"
+    assert doc["limit_cycle"] is False
+    assert "could not bracket" in doc["report"]
 
 
 def test_render_svg_rejects_empty_polyline(tmp_path):

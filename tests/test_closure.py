@@ -10,12 +10,8 @@ from hypothesis import given, strategies as st
 from pwlham.closure import (
     Continuum,
     NoSolution,
-    OuterZoneDegenerate,
-    InnerZoneDegenerate,
     UniqueCycleCandidate,
-    conic_intersections,
-    eliminate_outer,
-    hyperbola_coefficients,
+    conic_solutions,
     residuals_three_zone,
     residuals_two_zone,
     solve,
@@ -122,104 +118,50 @@ def test_swap_symmetry_of_residuals(y0, y1, y2, y3, seed):
     assert abs(s[3] + r[1]) <= 1e-12 * scale
 
 
-# --- eliminations ---------------------------------------------------------------
+# --- corner tuples of the reduced conics ----------------------------------------
 
 
-def test_eliminate_outer_pure_reflection():
+def test_outer_corners_pure_reflection():
+    # a_R + alpha_R = 0 pins the R-arc corners to y0 = -y1.
     system = PiecewiseSystem.three_zone(
-        F(0.0, 1.0, -1.0, 0.0, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.5, 1.0, -1.0, -0.5, 0.0)
+        F(0.0, 1.0, -1.0, 0.5, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.5, 1.0, -1.0, -0.5, 0.0)
     )
-    y0_of_y1, _ = eliminate_outer(system)
-    for y1 in (-2.0, 0.0, 1.5):
-        assert y0_of_y1(y1) == pytest.approx(-y1, abs=1e-15)
+    corners = conic_solutions(*system.fields)
+    assert len(corners) == 2
+    for y0, y1, _, _ in corners:
+        assert y0 == pytest.approx(-y1, abs=1e-15)
 
 
-def test_eliminate_outer_golden(examples):
-    y0_of_y1, _ = eliminate_outer(examples["CCC"])
-    for y1 in (-1.0, 0.3, 2.0):
-        assert y0_of_y1(y1) == pytest.approx(-y1, abs=1e-12)
-    _, y2_of_y3 = eliminate_outer(examples["CSC"])
-    for y3 in (-1.0, 0.3, 2.0):
-        assert y2_of_y3(y3) == pytest.approx(-y3 + 0.5, abs=1e-12)
-
-
-def test_eliminate_outer_degenerate():
-    system = PiecewiseSystem.three_zone(
-        F(1.0, 0.0, 1.0, -1.0, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 0.0, 0.0)
-    )
-    with pytest.raises(OuterZoneDegenerate):
-        eliminate_outer(system)
-
-
-# --- conic reduction ------------------------------------------------------------
-
-
-def test_conic_coefficients_trivial_case():
-    system = PiecewiseSystem.three_zone(
-        F(0.0, 1.0, -1.0, 0.0, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 0.0, 0.0)
-    )
-    h = hyperbola_coefficients(system)
-    assert h.K == 1.0
-    assert h.A == h.B == h.C == h.D == h.E == 0.0
-
-
-def test_conic_coefficients_golden(examples):
-    h = hyperbola_coefficients(examples["CCC"])
-    assert h.K == pytest.approx(1.0, abs=1e-15)
-    assert h.A == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert h.B == pytest.approx(-1.0 / 3.0, abs=1e-15)
-    assert h.C == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert h.D == pytest.approx(-1.0 / 3.0, abs=1e-15)
-    assert h.E == pytest.approx(23.0 / 24.0, abs=1e-15)
-
-
-def test_conic_coefficients_degenerate_inner():
-    system = PiecewiseSystem.three_zone(
-        F(0.0, 1.0, -1.0, 0.0, 0.0), F(1.0, 0.0, 1.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 0.0, 0.0)
-    )
-    with pytest.raises(InnerZoneDegenerate):
-        hyperbola_coefficients(system)
-    system = PiecewiseSystem.three_zone(
-        F(1.0, 0.0, 1.0, 0.0, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 0.0, 0.0)
-    )
-    with pytest.raises(OuterZoneDegenerate):
-        hyperbola_coefficients(system)
-
-
-def _conic_values(h, y1, y3):
-    first = (y1 - h.A) ** 2 / h.K - (y3 - h.B) ** 2 / h.K - h.C
-    second = (y1 - h.D) ** 2 / h.K - (y3 - h.E) ** 2 / h.K - h.C
-    return first, second
+def test_outer_corners_golden(examples):
+    corners = conic_solutions(*examples["CCC"].fields)
+    assert len(corners) == 2
+    for y0, y1, _, _ in corners:
+        assert y0 == pytest.approx(-y1, abs=1e-12)
+    corners = conic_solutions(*examples["CSC"].fields)
+    assert len(corners) == 2
+    for _, _, y2, y3 in corners:
+        assert y2 == pytest.approx(-y3 + 0.5, abs=1e-12)
 
 
 def test_conics_reproduce_eliminated_residuals():
-    """conic1 = +residual2 after y0-elimination, conic2 = -residual4 after
-    y2-elimination, at random evaluation points."""
+    """Every corner tuple of the reduced conics zeroes all four matching
+    equations, on random generic systems."""
     rng = random.Random(29)
+    tuples = 0
     for _ in range(20):
         system = random_generic_three_zone(rng)
-        h = hyperbola_coefficients(system)
-        y0_of_y1, y2_of_y3 = eliminate_outer(system)
-        for _ in range(100):
-            y1 = rng.uniform(-5.0, 5.0)
-            y3 = rng.uniform(-5.0, 5.0)
-            r = residuals_three_zone(system, y0_of_y1(y1), y1, y2_of_y3(y3), y3)
-            first, second = _conic_values(h, y1, y3)
-            scale = 1.0 + max(abs(v) for v in r.values)
-            assert abs(first - r.values[1]) <= 1e-9 * scale
-            assert abs(second + r.values[3]) <= 1e-9 * scale
+        for corners in conic_solutions(*system.fields) or ():
+            assert residuals_three_zone(system, *corners).max_abs() <= 1e-9
+            tuples += 1
+    assert tuples >= 10
 
 
 def test_conics_reproduce_eliminated_residuals_golden(examples):
-    rng = random.Random(31)
-    h = hyperbola_coefficients(examples["CCC"])
-    y0_of_y1, y2_of_y3 = eliminate_outer(examples["CCC"])
-    for _ in range(20):
-        y1, y3 = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        r = residuals_three_zone(examples["CCC"], y0_of_y1(y1), y1, y2_of_y3(y3), y3)
-        first, second = _conic_values(h, y1, y3)
-        assert first == pytest.approx(r.values[1], abs=1e-9)
-        assert second == pytest.approx(-r.values[3], abs=1e-9)
+    for name, system in examples.items():
+        corners = conic_solutions(*system.fields)
+        assert len(corners) == 2, name
+        for tuple_ in corners:
+            assert residuals_three_zone(system, *tuple_).max_abs() <= 1e-9, name
 
 
 # --- three-zone solve -----------------------------------------------------------
@@ -313,16 +255,11 @@ def test_solve_three_zone_coincident_conics_continuum():
     assert isinstance(out, Continuum)
 
 
-def test_conic_intersections_are_swap_partners(examples):
+def test_conic_solutions_are_swap_partners(examples):
     """The two intersection points map to a solution and its corner swap."""
-    system = examples["CCC"]
-    points = conic_intersections(hyperbola_coefficients(system))
-    assert points is not None and len(points) == 2
-    y0_of_y1, y2_of_y3 = eliminate_outer(system)
-    tuples = [
-        (y0_of_y1(y1), y1, y2_of_y3(y3), y3) for (y1, y3) in points
-    ]
-    a, b = tuples
+    corners = conic_solutions(*examples["CCC"].fields)
+    assert corners is not None and len(corners) == 2
+    a, b = corners
     assert a[0] == pytest.approx(b[1], abs=1e-9)
     assert a[1] == pytest.approx(b[0], abs=1e-9)
     assert a[2] == pytest.approx(b[3], abs=1e-9)
@@ -333,15 +270,10 @@ def test_at_most_one_admissible_intersection():
     rng = random.Random(43)
     for _ in range(300):
         system = random_generic_three_zone(rng)
-        points = conic_intersections(hyperbola_coefficients(system))
-        if points is None:
+        corners = conic_solutions(*system.fields)
+        if corners is None:
             continue
-        y0_of_y1, y2_of_y3 = eliminate_outer(system)
-        admissible = [
-            (y1, y3)
-            for (y1, y3) in points
-            if y1 < y0_of_y1(y1) and y2_of_y3(y3) < y3
-        ]
+        admissible = [c for c in corners if c[1] < c[0] and c[2] < c[3]]
         assert len(admissible) <= 1
         out = solve_three_zone(system)
         if admissible:
@@ -369,8 +301,18 @@ def test_unique_candidates_have_tiny_residuals():
 
 
 def _newton_roots(system, rng, grid=20, span=20.0):
-    """Polish a grid of seeds on the reduced residual pair with 2x2 Newton."""
-    y0_of_y1, y2_of_y3 = eliminate_outer(system)
+    """Polish a grid of seeds on the reduced residual pair with 2x2 Newton.
+
+    The outer corners come from the R- and L-arc equations written out here:
+    b_R (y0 + y1) = -2 (a_R + alpha_R) and b_L (y2 + y3) = 2 (a_L - alpha_L).
+    """
+    lf, _, rf = system.fields
+
+    def y0_of_y1(y1):
+        return -y1 - 2.0 * (rf.a + rf.alpha) / rf.b
+
+    def y2_of_y3(y3):
+        return -y3 + 2.0 * (lf.a - lf.alpha) / lf.b
 
     def residual_pair(y1, y3):
         r = residuals_three_zone(system, y0_of_y1(y1), y1, y2_of_y3(y3), y3)

@@ -101,7 +101,7 @@ def test_at_most_one_certificate_across_random_systems():
 def _perturbed(system, rng, spread=0.02):
     fields = [
         LinearHamiltonianField(
-            *(v * (1.0 + rng.uniform(-spread, spread)) for v in f.coefficients())
+            *(v * (1.0 + rng.uniform(-spread, spread)) for v in dataclasses.astuple(f))
         )
         for f in system.fields
     ]
