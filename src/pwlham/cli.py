@@ -14,9 +14,8 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from importlib import resources
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import closure, cycle, poincare
@@ -42,6 +41,9 @@ CANVAS_MARGIN = 60.0
 
 ORACLE_AGREEMENT_TOL = 1e-6
 
+# plot writes here when --output is missing; the other commands print.
+PLOT_OUTPUT = "portrait.svg"
+
 # Only plot draws the polyline; the other commands print none of it and verify
 # checks only that it closes, so they sample each arc at its two end points.
 UNPLOTTED_SAMPLES_PER_ARC = 2
@@ -64,11 +66,9 @@ def fixture_text(name: str) -> str:
     """Raw JSON text of a bundled system definition."""
     if name.upper() not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
-    return (
-        resources.files(__package__)
-        .joinpath("fixtures", f"{name.lower()}.json")
-        .read_text(encoding="utf-8")
-    )
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name.lower()}.json")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 # --- SVG rendering -----------------------------------------------------------
@@ -77,7 +77,7 @@ def fixture_text(name: str) -> str:
 def render_svg(
     source: CycleCertificate | Trajectory,
     window: Optional[tuple[float, float, float, float]],
-    path: str | Path,
+    path: str,
     system: PiecewiseSystem,
 ) -> None:
     """Write a deterministic 800x600 SVG phase portrait.
@@ -173,7 +173,8 @@ def render_svg(
         )
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def _default_window(
@@ -197,7 +198,8 @@ def _default_window(
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -232,7 +234,7 @@ def _outcome_payload(outcome: closure.ClosureOutcome) -> dict:
     if isinstance(outcome, closure.UniqueCycleCandidate):
         return {
             "outcome": "unique_candidate",
-            "corners": dict(zip(cycle.CORNER_KEYS, outcome.as_tuple())),
+            "corners": dict(zip(cycle.CORNER_KEYS, outcome)),
         }
     if isinstance(outcome, closure.NoSolution):
         return {"outcome": "no_solution", "reason": outcome.reason}
@@ -326,7 +328,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     result = cycle.certify(system, samples_per_arc=args.samples)
-    output = args.output or "portrait.svg"
+    output = args.output or PLOT_OUTPUT
     if result.certificate is not None:
         render_svg(result.certificate, args.window, output, system=system)
     else:
@@ -361,7 +363,8 @@ def _sample_trajectory(
 def _cmd_verify(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     if args.certificate:
-        doc = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+        with open(args.certificate, encoding="utf-8") as fh:
+            doc = json.load(fh)
         certificate = cycle.certificate_from_json_dict(doc)
     else:
         certificate = cycle.find_limit_cycle(
@@ -445,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--input", required=True, help="system definition JSON")
-        cmd.add_argument("--output", help="output file (default: stdout)")
+        default_output = PLOT_OUTPUT if name == "plot" else "stdout"
+        cmd.add_argument("--output", help=f"output file (default: {default_output})")
         if name in ("oracle", "plot"):
             cmd.add_argument("--tol", type=_tolerance, default=poincare.DEFAULT_TOL,
                              help="numerical integration tolerance")

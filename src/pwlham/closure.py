@@ -21,8 +21,7 @@ below and classified as no-solution or continuum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .model import LinearHamiltonianField, PiecewiseSystem, is_continuous
 
@@ -35,25 +34,13 @@ DISPATCH_TOL = 1e-10
 CLAMP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ClosureResiduals:
-    """Left-hand sides of the energy-matching equations at trial ordinates."""
-
-    values: tuple[float, ...]
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     """The closure equations admit no ordered corner tuple."""
 
     reason: str
 
 
-@dataclass(frozen=True)
-class UniqueCycleCandidate:
+class UniqueCycleCandidate(NamedTuple):
     """The single ordered corner tuple solving the closure equations."""
 
     y0: float
@@ -61,12 +48,8 @@ class UniqueCycleCandidate:
     y2: float
     y3: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.y0, self.y1, self.y2, self.y3)
 
-
-@dataclass(frozen=True)
-class Continuum:
+class Continuum(NamedTuple):
     """A non-isolated family of periodic-orbit candidates.
 
     ``parametrization`` maps y1 to the companion ordinates ((y0,) for two
@@ -83,34 +66,30 @@ ClosureOutcome = NoSolution | UniqueCycleCandidate | Continuum
 
 def residuals_two_zone(
     system: PiecewiseSystem, y0: float, y1: float
-) -> ClosureResiduals:
+) -> tuple[float, float]:
     """Energy mismatches of the R and L zones between (0, y0) and (0, y1)."""
     lf, rf = system.fields
     gap = y0 - y1
-    return ClosureResiduals(
-        (
-            -0.5 * gap * (rf.b * (y0 + y1) + 2.0 * rf.alpha),
-            0.5 * gap * (lf.b * (y0 + y1) + 2.0 * lf.alpha),
-        )
+    return (
+        -0.5 * gap * (rf.b * (y0 + y1) + 2.0 * rf.alpha),
+        0.5 * gap * (lf.b * (y0 + y1) + 2.0 * lf.alpha),
     )
 
 
 def residuals_three_zone(
     system: PiecewiseSystem, y0: float, y1: float, y2: float, y3: float
-) -> ClosureResiduals:
+) -> tuple[float, float, float, float]:
     """Energy mismatches of the four arcs R, C-upper, L, C-lower in order."""
     lf, cf, rf = system.fields
-    return ClosureResiduals(
-        (
-            0.5 * (y1 - y0) * (rf.b * (y0 + y1) + 2.0 * (rf.a + rf.alpha)),
-            0.5 * (y0 - y3) * (cf.b * (y0 + y3) + 2.0 * cf.alpha)
-            - 2.0 * cf.beta
-            + cf.a * (y0 + y3),
-            0.5 * (y3 - y2) * (lf.b * (y2 + y3) - 2.0 * (lf.a - lf.alpha)),
-            0.5 * (y2 - y1) * (cf.b * (y1 + y2) + 2.0 * cf.alpha)
-            + 2.0 * cf.beta
-            - cf.a * (y1 + y2),
-        )
+    return (
+        0.5 * (y1 - y0) * (rf.b * (y0 + y1) + 2.0 * (rf.a + rf.alpha)),
+        0.5 * (y0 - y3) * (cf.b * (y0 + y3) + 2.0 * cf.alpha)
+        - 2.0 * cf.beta
+        + cf.a * (y0 + y3),
+        0.5 * (y3 - y2) * (lf.b * (y2 + y3) - 2.0 * (lf.a - lf.alpha)),
+        0.5 * (y2 - y1) * (cf.b * (y1 + y2) + 2.0 * cf.alpha)
+        + 2.0 * cf.beta
+        - cf.a * (y1 + y2),
     )
 
 

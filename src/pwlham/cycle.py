@@ -11,8 +11,7 @@ invariant from scratch so a certificate can be audited after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import closure, flow
 from .model import THREE_ZONE, PiecewiseSystem, Point, hamiltonian_value
@@ -53,8 +52,7 @@ def _arcs(system: PiecewiseSystem, corners):
     return zip(map(system.field, ARC_ZONES), corners, corners[1:] + corners[:1])
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """A verified crossing limit cycle.
 
     corners are ((1, y0), (1, y1), (-1, y2), (-1, y3)); flight_times are the
@@ -71,8 +69,7 @@ class CycleCertificate:
     period: float
 
 
-@dataclass(frozen=True)
-class CertificationResult:
+class CertificationResult(NamedTuple):
     """Outcome of the closure analysis plus the certificate when one exists."""
 
     outcome: closure.ClosureOutcome
@@ -80,16 +77,14 @@ class CertificationResult:
     reason: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float
     limit: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -140,8 +135,7 @@ def _build_certificate(
     candidate: closure.UniqueCycleCandidate,
     samples_per_arc: int,
 ) -> CycleCertificate:
-    ordinates = candidate.as_tuple()
-    corners = _corner_points(ordinates)
+    corners = _corner_points(candidate)
 
     crossings = []
     for corner, line_id in zip(corners, CORNER_LINES):
@@ -174,7 +168,7 @@ def _build_certificate(
         polyline.extend(samples if not polyline else samples[1:])
         times.append(t)
 
-    residual_norm = closure.residuals_three_zone(system, *ordinates).max_abs()
+    residual_norm = max(map(abs, closure.residuals_three_zone(system, *candidate)))
     if residual_norm > RESIDUAL_TOL:
         raise _CandidateRejected(
             f"closure residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}"
@@ -199,7 +193,7 @@ def verify_certificate(
     checks: list[CheckResult] = []
     y0, y1, y2, y3 = (corner[1] for corner in certificate.corners)
 
-    residual = closure.residuals_three_zone(system, y0, y1, y2, y3).max_abs()
+    residual = max(map(abs, closure.residuals_three_zone(system, y0, y1, y2, y3)))
     checks.append(CheckResult("closure_residuals", residual <= RESIDUAL_TOL,
                               residual, RESIDUAL_TOL))
 
@@ -216,19 +210,25 @@ def verify_certificate(
                               all_crossing and worst_product > 0.0,
                               worst_product, 0.0))
 
-    min_time = min(certificate.flight_times)
+    times = certificate.flight_times
+    min_time = math.nan if any(map(math.isnan, times)) else min(times)
     checks.append(CheckResult("flight_times_positive", min_time > 0.0,
                               min_time, 0.0))
 
     max_gap = 0.0
     max_drift = 0.0
-    for (field, start, target), t in zip(
-        _arcs(system, certificate.corners), certificate.flight_times
-    ):
-        if t <= 0.0:
-            max_gap = float("inf")
+    for (field, start, target), t in zip(_arcs(system, certificate.corners), times):
+        # A time that is not finite and positive, or an arc whose flow
+        # overflows, leaves no endpoint to compare: an infinite gap.
+        landing = (math.nan,)
+        if 0.0 < t < math.inf:
+            try:
+                landing = flow.flow_closed_form(field, start, t)
+            except OverflowError:
+                pass
+        if not all(map(math.isfinite, landing)):
+            max_gap = math.inf
             continue
-        landing = flow.flow_closed_form(field, start, t)
         max_gap = max(
             max_gap, abs(landing[0] - target[0]), abs(landing[1] - target[1])
         )
@@ -241,7 +241,7 @@ def verify_certificate(
                               max_drift <= ENERGY_DRIFT_TOL,
                               max_drift, ENERGY_DRIFT_TOL))
 
-    period_gap = abs(certificate.period - sum(certificate.flight_times))
+    period_gap = abs(certificate.period - sum(times))
     checks.append(CheckResult("period_is_time_sum",
                               period_gap <= PERIOD_SUM_TOL,
                               period_gap, PERIOD_SUM_TOL))
@@ -331,6 +331,8 @@ def _member(doc: object, where: str, key: str) -> object:
 def _number(doc: object, where: str, key: str) -> float:
     value = _member(doc, where, key)
     try:
+        if isinstance(value, bool):  # JSON true/false, which float() accepts
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}.{key} must be a number, not {value!r}") from None

@@ -20,8 +20,7 @@ safeguarded Newton on x(t) - target inside a sign-change bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .model import (
     LinearHamiltonianField,
@@ -56,8 +55,7 @@ class NotOnSwitchingLine(ValueError):
     """The queried point does not lie on the named switching line."""
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     """A point on an orbit, its flow time and the zone it belongs to."""
 
     point: Point
@@ -65,8 +63,7 @@ class FlowState:
     zone: str
 
 
-@dataclass(frozen=True)
-class CrossingClassification:
+class CrossingClassification(NamedTuple):
     """Contact type of a switching-line point with its two adjacent fields.
 
     ``derivative_minus``/``derivative_plus`` are the x-velocities of the
@@ -89,11 +86,9 @@ def flow_closed_form(field: LinearHamiltonianField, p0: Point, t: float) -> Poin
     """Exact zone flow of p0 by time t (t may be negative)."""
     if t == 0.0:
         return p0
-    info = field.singularity
-    px, py = info.location
+    kind, m, (px, py) = field.singularity
     dx, dy = p0[0] - px, p0[1] - py
-    m = info.modulus
-    if info.kind == "center":
+    if kind == "center":
         cw = math.cos(m * t)
         sw = math.sin(m * t) / m
     else:
@@ -118,13 +113,11 @@ def orbit_samples(
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     step = t_end / (n - 1)
-    info = field.singularity
-    px, py = info.location
+    kind, m, (px, py) = field.singularity
     dx, dy = p0[0] - px, p0[1] - py
-    m = info.modulus
     vx = field.a * dx + field.b * dy
     vy = field.c * dx - field.a * dy
-    if info.kind == "center":
+    if kind == "center":
         even, odd = math.cos, math.sin
     else:
         even, odd = math.cosh, math.sinh
@@ -270,15 +263,14 @@ def flight_time(
     required_sign = _required_arrival_sign(field, p0, s0, s1)
     # Phase coordinates: x(t) - px = u cos(w t) + v sin(w t) for a center,
     # u cosh(l t) + v sinh(l t) for a saddle; the target is at px + d.
-    info = field.singularity
-    px, py = info.location
+    kind, m, (px, py) = field.singularity
     u, dy = p0[0] - px, p0[1] - py
-    v = (field.a * u + field.b * dy) / info.modulus
+    v = (field.a * u + field.b * dy) / m
     d = s1 - px
-    if info.kind == "center":
-        t = _center_flight_time(u, v, d, info.modulus, s1, required_sign)
+    if kind == "center":
+        t = _center_flight_time(u, v, d, m, s1, required_sign)
     else:
-        t = _saddle_flight_time(field, p0, u, v, d, info.modulus, s1, required_sign)
+        t = _saddle_flight_time(field, p0, u, v, d, m, s1, required_sign)
     t_refined = refine_flight_time(field, p0, s1, t)
     if abs(t - t_refined) > CROSS_CHECK_TOL * (1.0 + abs(t)):
         raise ArithmeticError(

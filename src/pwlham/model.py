@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 Point = tuple[float, float]
 
@@ -51,17 +50,11 @@ class LayoutError(ValueError):
     """Zone count and layout disagree."""
 
 
-@dataclass(frozen=True)
 class LinearHamiltonianField:
     """One zone's affine field (a*x + b*y + alpha, c*x - a*y + beta)."""
 
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, b: float, c: float, alpha: float, beta: float) -> None:
+        self.a, self.b, self.c, self.alpha, self.beta = a, b, c, alpha, beta
         det = self.linear_determinant()
         if not math.isfinite(det):
             raise DegenerateField(f"a^2 + b*c = {det:g} is not a finite number")
@@ -78,7 +71,6 @@ class LinearHamiltonianField:
         return classify_singularity(self)
 
 
-@dataclass(frozen=True)
 class ZoneLayout:
     """Vertical-strip decomposition of the plane, stated as a table.
 
@@ -91,26 +83,25 @@ class ZoneLayout:
                            lines "L" at x = -1 and "R" at x = 1.
     """
 
-    name: str
-    zone_ids: tuple[str, ...]
-    switching_lines: tuple[tuple[str, float], ...]
-
-    @property
-    def n_zones(self) -> int:
-        return len(self.zone_ids)
-
-    @cached_property
-    def _lines(self) -> dict[str, tuple[float, int]]:
-        """line id -> (abscissa, i): zones i and i + 1 lie on its x < and x > sides."""
-        return {
-            line_id: (x, i) for i, (line_id, x) in enumerate(self.switching_lines)
+    def __init__(
+        self,
+        name: str,
+        zone_ids: tuple[str, ...],
+        switching_lines: tuple[tuple[str, float], ...],
+    ) -> None:
+        self.name = name
+        self.zone_ids = zone_ids
+        self.switching_lines = switching_lines
+        self.n_zones = len(zone_ids)
+        # line id -> (abscissa, i): zones i and i + 1 lie on its x < and x > sides.
+        self._lines = {
+            line_id: (x, i) for i, (line_id, x) in enumerate(switching_lines)
         }
-
-    @cached_property
-    def _intervals(self) -> dict[str, tuple[float, float]]:
         inf = float("inf")
-        edges = (-inf, *(x for _, x in self.switching_lines), inf)
-        return {zone_id: edges[i : i + 2] for i, zone_id in enumerate(self.zone_ids)}
+        edges = (-inf, *(x for _, x in switching_lines), inf)
+        self._intervals = {
+            zone_id: edges[i : i + 2] for i, zone_id in enumerate(zone_ids)
+        }
 
     def line_position(self, line_id: str) -> float:
         return _lookup(self._lines, line_id, "switching line")[0]
@@ -136,18 +127,16 @@ TWO_ZONE = ZoneLayout("two", ("L", "R"), (("C", 0.0),))
 THREE_ZONE = ZoneLayout("three", ("L", "C", "R"), (("L", -1.0), ("R", 1.0)))
 
 
-@dataclass(frozen=True)
 class PiecewiseSystem:
     """Zone layout plus one nondegenerate field per zone, ordered L(, C), R."""
 
-    layout: ZoneLayout
-    fields: tuple[LinearHamiltonianField, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.fields) != self.layout.n_zones:
-            raise LayoutError(
-                f"{self.layout.n_zones} zones but {len(self.fields)} fields"
-            )
+    def __init__(
+        self, layout: ZoneLayout, fields: tuple[LinearHamiltonianField, ...]
+    ) -> None:
+        if len(fields) != layout.n_zones:
+            raise LayoutError(f"{layout.n_zones} zones but {len(fields)} fields")
+        self.layout = layout
+        self.fields = fields
 
     @classmethod
     def two_zone(
@@ -185,8 +174,7 @@ class PiecewiseSystem:
         )
 
 
-@dataclass(frozen=True)
-class SingularKind:
+class SingularKind(NamedTuple):
     """Type, eigenvalue modulus and location of a zone field's singularity.
 
     A center has eigenvalues +/- modulus*i, a saddle +/- modulus, with

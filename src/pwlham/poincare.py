@@ -20,9 +20,7 @@ machinery so that agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from typing import Callable, IO, NamedTuple, Optional
 
 from .flow import FlowState, classify_boundary_point, CrossingClassification
@@ -65,16 +63,14 @@ class FixedPoint(NamedTuple):
     d_hi: float
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     time: float
     point: Point
     line: str
     classification: CrossingClassification
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     states: tuple[FlowState, ...]
     events: tuple[SwitchEvent, ...]
 
@@ -392,6 +388,8 @@ def fixed_point(
 
 def trajectory_to_csv(trajectory: Trajectory, stream: IO[str]) -> None:
     """Write the sampled states as rows t, x, y, zone."""
+    import csv  # here, not at the top: only `oracle --trajectory-csv` needs it
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["t", "x", "y", "zone"])
     for state in trajectory.states:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from pwlham.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     FIXTURE_NAMES,
+    build_parser,
     bundle_examples,
     fixture_text,
     main,
@@ -173,6 +177,50 @@ def test_verify_command_checks_recorded_values(ccc_path, tmp_path):
     failed = [c["name"] for c in json.loads(out.read_text())["checks"]
               if not c["passed"]]
     assert failed == ["recorded_values_match"]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("t_R", 1e6), ("t_C1", float("inf")), ("t_C1", float("nan"))],
+    ids=["saddle-overflow", "infinite", "nan"],
+)
+def test_verify_reports_bad_flight_time(tmp_path, capsys, key, value):
+    """A tampered flight time is a verification failure with a JSON report,
+    not an error: exit 1, nothing on stderr."""
+    scs_path = tmp_path / "scs.json"
+    scs_path.write_text(fixture_text("SCS"), encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    main(["cycle", "--input", str(scs_path), "--output", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    doc["flight_times"][key] = value
+    cert_path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(scs_path),
+                 "--certificate", str(cert_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert "arc_endpoints" in failed
+
+
+def test_output_help_names_each_default(capsys):
+    for command, default in (("plot", "portrait.svg"), ("solve", "stdout")):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"output file (default: {default})" in help_text
+
+
+def test_cold_import_skips_unused_modules():
+    """Importing the CLI on a bare interpreter (-S: no site hooks) loads none
+    of these modules; each one costs start-up time that no command needs."""
+    unwanted = ["dataclasses", "inspect", "pathlib", "importlib.resources", "csv"]
+    code = "import pwlham.cli, sys; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *unwanted],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_plot_command_is_deterministic(ccc_path, tmp_path):
@@ -415,11 +463,12 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
         (lambda doc: {**doc, "corners": None}, "corners"),
         (lambda doc: {**doc, "crossings": [1, *doc["crossings"][1:]]}, "crossings[0]"),
         (lambda doc: {**doc, "period": "soon"}, "period"),
+        (lambda doc: {**doc, "period": True}, "period"),
         (lambda doc: {k: v for k, v in doc.items() if k != "flight_times"},
          "flight_times"),
     ],
     ids=["root-array", "null-corners", "crossing-not-object", "text-period",
-         "no-flight-times"],
+         "bool-period", "no-flight-times"],
 )
 def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                                               tamper, bad_key):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -101,7 +101,8 @@ def test_at_most_one_certificate_across_random_systems():
 def _perturbed(system, rng, spread=0.02):
     fields = [
         LinearHamiltonianField(
-            *(v * (1.0 + rng.uniform(-spread, spread)) for v in dataclasses.astuple(f))
+            *(v * (1.0 + rng.uniform(-spread, spread))
+              for v in (f.a, f.b, f.c, f.alpha, f.beta))
         )
         for f in system.fields
     ]
@@ -125,7 +126,7 @@ def test_certificates_persist_under_small_perturbations(examples):
 def test_cycle_period_is_time_sum(ccc):
     cert = find_limit_cycle(ccc)
     assert cert.period == pytest.approx(sum(cert.flight_times), abs=1e-15)
-    uniform = dataclasses.replace(cert, flight_times=(0.3, 0.3, 0.3, 0.3))
+    uniform = cert._replace(flight_times=(0.3, 0.3, 0.3, 0.3))
     failed = {c.name for c in verify_certificate(uniform, ccc).failures()}
     assert "period_is_time_sum" in failed
 
@@ -140,19 +141,33 @@ def test_verification_passes_for_fresh_certificates(examples):
 def test_verification_rejects_perturbed_corner(ccc):
     cert = find_limit_cycle(ccc)
     (x0, y0), rest = cert.corners[0], cert.corners[1:]
-    bad = dataclasses.replace(cert, corners=((x0, y0 + 1e-3),) + rest)
+    bad = cert._replace(corners=((x0, y0 + 1e-3),) + rest)
     report = verify_certificate(bad, ccc)
     assert not report.passed
     assert any(c.name == "closure_residuals" for c in report.failures())
 
 
-def test_verification_rejects_negated_flight_time(ccc):
-    cert = find_limit_cycle(ccc)
-    times = (-cert.flight_times[0],) + cert.flight_times[1:]
-    bad = dataclasses.replace(cert, flight_times=times)
-    report = verify_certificate(bad, ccc)
+@pytest.mark.parametrize(
+    "name, arc, time, failing",
+    [
+        ("CCC", 0, None, {"flight_times_positive", "arc_endpoints"}),
+        # SCS's R arc is a saddle arc, where cosh overflows at this time.
+        ("SCS", 0, 1e6, {"arc_endpoints"}),
+        ("SCS", 1, math.inf, {"arc_endpoints"}),
+        ("SCS", 1, math.nan, {"flight_times_positive", "arc_endpoints"}),
+    ],
+    ids=["negated", "saddle-overflow", "infinite", "nan"],
+)
+def test_verification_rejects_bad_flight_time(examples, name, arc, time, failing):
+    """A time that is not finite and positive fails the audit instead of
+    raising; None stands for the negated certified time."""
+    system = examples[name]
+    cert = find_limit_cycle(system)
+    times = list(cert.flight_times)
+    times[arc] = -times[arc] if time is None else time
+    report = verify_certificate(cert._replace(flight_times=tuple(times)), system)
     assert not report.passed
-    assert any(c.name == "flight_times_positive" for c in report.failures())
+    assert failing <= {c.name for c in report.failures()}
 
 
 def test_certify_classifies_each_zone_field_once(monkeypatch):
