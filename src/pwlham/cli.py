@@ -41,6 +41,14 @@ CANVAS_MARGIN = 60.0
 
 ORACLE_AGREEMENT_TOL = 1e-6
 
+# Half-widths of the brackets the oracle tries around the certified y0, in
+# ascending order.  The narrowest is 100 * ORACLE_AGREEMENT_TOL: a fixed point
+# found inside a bracket may still miss y0 by more than the tolerance, so
+# agreement is judged on the measured gap alone.  A bracket with no sign
+# change (y0 off by more than its half-width), or whose orbits slide or never
+# return, gives way to the next wider one.
+ORACLE_BRACKETS = (1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2)
+
 # plot writes here when --output is missing; the other commands print.
 PLOT_OUTPUT = "portrait.svg"
 
@@ -281,10 +289,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_OK
     cert = result.certificate
     y0 = cert.corners[0][1]
-    # Orbits near the cycle can run into sliding segments, where the return
-    # map is undefined: try ever narrower brackets around y0.
     last_error: Exception | None = None
-    for width in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4):
+    for width in ORACLE_BRACKETS:
         try:
             numeric_y0, d_hi = poincare.fixed_point(
                 system, (y0 - width, y0 + width), tol=args.tol

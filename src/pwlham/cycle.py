@@ -233,8 +233,9 @@ def verify_certificate(
             max_gap, abs(landing[0] - target[0]), abs(landing[1] - target[1])
         )
         h0 = hamiltonian_value(field, start)
-        drift = abs(hamiltonian_value(field, landing) - h0)
-        max_drift = max(max_drift, drift / (1.0 + abs(h0)))
+        drift = abs(hamiltonian_value(field, landing) - h0) / (1.0 + abs(h0))
+        # An energy that overflows gives a NaN drift, which max() would drop.
+        max_drift = max(max_drift, math.inf if math.isnan(drift) else drift)
     checks.append(CheckResult("arc_endpoints", max_gap <= CLOSURE_TOL,
                               max_gap, CLOSURE_TOL))
     checks.append(CheckResult("arc_energy_constant",
@@ -330,9 +331,10 @@ def _member(doc: object, where: str, key: str) -> object:
 
 def _number(doc: object, where: str, key: str) -> float:
     value = _member(doc, where, key)
-    try:
-        if isinstance(value, bool):  # JSON true/false, which float() accepts
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}.{key} must be a number, not {value!r}") from None
+    # Only JSON numbers: float() would also take true/false and numeric text.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{where}.{key} must be a number, not {value!r}")

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from pwlham import flow, poincare
+from pwlham import cycle, flow, poincare
 from pwlham.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    EXIT_VERIFICATION_FAILED,
     FIXTURE_NAMES,
+    ORACLE_AGREEMENT_TOL,
+    ORACLE_BRACKETS,
     build_parser,
     bundle_examples,
     fixture_text,
@@ -442,8 +445,8 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
     assert set(counts) == {256}
 
 
-def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
-    # fixed_point on the widest bracket (two ends, 9 false-position
+def test_oracle_return_map_count(tmp_path, monkeypatch):
+    # fixed_point on the narrowest bracket (two ends and the false-position
     # probes; the upper end also gives the slope sign) and the return time.
     calls = []
     first_return = poincare.first_return
@@ -451,9 +454,47 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
         poincare, "first_return",
         lambda *a, **k: calls.append(a) or first_return(*a, **k),
     )
+    counts = {}
     out = str(tmp_path / "oracle.json")
-    assert main(["oracle", "--input", str(ccc_path), "--output", out]) == EXIT_OK
-    assert len(calls) == 12
+    for name in FIXTURE_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(fixture_text(name), encoding="utf-8")
+        assert main(["oracle", "--input", str(path), "--output", out]) == EXIT_OK
+        counts[name] = len(calls)
+        calls.clear()
+    assert max(counts.values()) <= 7, counts
+    assert sum(counts.values()) <= 40, counts
+
+
+def test_oracle_brackets_ascend_from_beyond_agreement():
+    assert list(ORACLE_BRACKETS) == sorted(set(ORACLE_BRACKETS))
+    assert ORACLE_BRACKETS[0] >= 100 * ORACLE_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("name", ["CCC", "SSC"])
+def test_oracle_widens_and_reports_a_wrong_y0(tmp_path, monkeypatch, name):
+    """A certified y0 off by more than the narrowest bracket: the oracle
+    widens, finds the true fixed point and reports the gap (exit 1)."""
+    certify = cycle.certify
+
+    def shifted(*args, **kwargs):
+        result = certify(*args, **kwargs)
+        (x0, y0), *rest = result.certificate.corners
+        cert = result.certificate._replace(corners=((x0, y0 + 3e-4), *rest))
+        return result._replace(certificate=cert)
+
+    monkeypatch.setattr(cycle, "certify", shifted)
+    path = tmp_path / "system.json"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "--input", str(path), "--output", str(out)])
+    assert code == EXIT_VERIFICATION_FAILED
+    doc = json.loads(out.read_text())
+    assert doc["agrees"] is False
+    assert doc["difference"]["y0"] == pytest.approx(3e-4, abs=1e-6)
+    assert doc["numeric"]["fixed_point"] == pytest.approx(
+        GOLDEN_CORNERS[name][0], abs=ORACLE_AGREEMENT_TOL
+    )
 
 
 @pytest.mark.parametrize(
@@ -464,11 +505,14 @@ def test_oracle_return_map_count(ccc_path, tmp_path, monkeypatch):
         (lambda doc: {**doc, "crossings": [1, *doc["crossings"][1:]]}, "crossings[0]"),
         (lambda doc: {**doc, "period": "soon"}, "period"),
         (lambda doc: {**doc, "period": True}, "period"),
+        (lambda doc: {**doc, "period": "12"}, "period"),
+        (lambda doc: {**doc, "period": "nan"}, "period"),
+        (lambda doc: {**doc, "period": "inf"}, "period"),
         (lambda doc: {k: v for k, v in doc.items() if k != "flight_times"},
          "flight_times"),
     ],
     ids=["root-array", "null-corners", "crossing-not-object", "text-period",
-         "bool-period", "no-flight-times"],
+         "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times"],
 )
 def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                                               tamper, bad_key):

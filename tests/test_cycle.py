@@ -147,6 +147,17 @@ def test_verification_rejects_perturbed_corner(ccc):
     assert any(c.name == "closure_residuals" for c in report.failures())
 
 
+def test_verification_rejects_overflowing_energy(ccc):
+    """y0 = 1e200 overflows the R arc's energy (inf - inf): a NaN drift that
+    must fail arc_energy_constant rather than vanish from the maximum."""
+    cert = find_limit_cycle(ccc)
+    (x0, _), *rest = cert.corners
+    report = verify_certificate(cert._replace(corners=((x0, 1e200), *rest)), ccc)
+    (check,) = [c for c in report.checks if c.name == "arc_energy_constant"]
+    assert not check.passed
+    assert check.measured == math.inf
+
+
 @pytest.mark.parametrize(
     "name, arc, time, failing",
     [
