@@ -35,7 +35,7 @@ def main() -> None:
         system = PiecewiseSystem.three_zone(
             random_field(rng), random_field(rng), random_field(rng)
         )
-        if is_continuous(system, describe=False)[0]:
+        if is_continuous(system)[0]:
             continue
         result = certify(system, samples_per_arc=8)
         if isinstance(result.outcome, NoSolution):

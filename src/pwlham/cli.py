@@ -52,8 +52,8 @@ ORACLE_BRACKETS = (1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2)
 # plot writes here when --output is missing; the other commands print.
 PLOT_OUTPUT = "portrait.svg"
 
-# Only plot draws the polyline; the other commands print none of it and verify
-# checks only that it closes, so they sample each arc at its two end points.
+# Only plot draws the polyline; the other commands use none of it, so they
+# sample each arc at its two end points.
 UNPLOTTED_SAMPLES_PER_ARC = 2
 
 
@@ -231,7 +231,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         {
             "layout": system.layout.name,
             "continuous": continuous,
-            "continuity_violations": violations,
+            "continuity_violations": [
+                f"{name} = {gap:g}" for name, gap in violations.items()
+            ],
             "zones": zones,
         },
     )

@@ -174,16 +174,16 @@ def solve_three_zone(system: PiecewiseSystem) -> ClosureOutcome:
     the all-nonzero branch intersects the two reduced conics and keeps the
     at most one intersection that respects both strict corner orderings.
 
-    The continuity flag is model.is_continuous's, taken without violation
-    text; every other zero test uses the dispatch tolerance
-    DISPATCH_TOL * (1 + coefficient_scale), computed once here.
+    The continuity flag is model.is_continuous's; every other zero test uses
+    the dispatch tolerance DISPATCH_TOL * (1 + coefficient_scale), computed
+    once here.
     """
     if system.layout.n_zones != 3:
         raise ValueError("expected a three-zone system")
     lf, cf, rf = system.fields
     tol = _dispatch_tol(system)
 
-    if is_continuous(system, describe=False)[0]:
+    if is_continuous(system)[0]:
         if abs(cf.b) <= tol:
             return NoSolution(
                 "continuous with b = 0: the ordered matching equations are "

@@ -247,12 +247,6 @@ def verify_certificate(
                               period_gap <= PERIOD_SUM_TOL,
                               period_gap, PERIOD_SUM_TOL))
 
-    if certificate.polyline:
-        first, last = certificate.polyline[0], certificate.polyline[-1]
-        gap = max(abs(first[0] - last[0]), abs(first[1] - last[1]))
-        checks.append(CheckResult("polyline_closed", gap <= CLOSURE_TOL,
-                                  gap, CLOSURE_TOL))
-
     # The stored crossings and residual norm must be the re-derived ones; a
     # changed label, a missing crossing or a NaN counts as an infinite gap.
     recorded = certificate.crossings

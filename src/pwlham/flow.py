@@ -294,8 +294,7 @@ def refine_flight_time(
     def g(t: float) -> float:
         return flow_closed_form(field, p0, t)[0] - target_x
 
-    lo, hi = _bracket_root(g, t_approx)
-    glo = g(lo)
+    lo, hi, glo = _bracket_root(g, t_approx)
     t = t_approx
     for _ in range(200):
         p = flow_closed_form(field, p0, t)
@@ -316,11 +315,13 @@ def refine_flight_time(
     return 0.5 * (lo + hi)
 
 
-def _bracket_root(g: Callable[[float], float], t0: float) -> tuple[float, float]:
-    """Expand a sign-change bracket around t0; the root is transversal."""
+def _bracket_root(g: Callable[[float], float], t0: float) -> tuple[float, float, float]:
+    """A sign-change bracket (lo, hi) around the transversal root near t0,
+    and g(lo)."""
     for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1):
         lo = max(t0 - delta, 0.25 * t0)  # stay clear of the t = 0 root
         hi = t0 + delta
-        if g(lo) * g(hi) < 0.0:
-            return (lo, hi)
+        glo = g(lo)
+        if glo * g(hi) < 0.0:
+            return (lo, hi, glo)
     raise ArithmeticError(f"could not bracket the arrival time near t = {t0!r}")

@@ -43,7 +43,7 @@ CONTINUITY_TOL = 1e-12
 
 class DegenerateField(ValueError):
     """No usable isolated singular point: a**2 + b*c is zero or not finite,
-    or the point itself overflows."""
+    alpha or beta is not finite, or the point itself overflows."""
 
 
 class LayoutError(ValueError):
@@ -60,6 +60,8 @@ class LinearHamiltonianField:
             raise DegenerateField(f"a^2 + b*c = {det:g} is not a finite number")
         if abs(det) <= NONDEGENERACY_TOL:
             raise DegenerateField(f"a^2 + b*c = {det:g} is too close to zero")
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise DegenerateField(f"alpha = {alpha:g} or beta = {beta:g} is not finite")
 
     def linear_determinant(self) -> float:
         """a**2 + b*c, the negated determinant of the linear part."""
@@ -225,16 +227,14 @@ def classify_singularity(field: LinearHamiltonianField) -> SingularKind:
     return SingularKind("saddle", math.sqrt(det), (px, py))
 
 
-def is_continuous(
-    system: PiecewiseSystem, describe: bool = True
-) -> tuple[bool, list[str]]:
+def is_continuous(system: PiecewiseSystem) -> tuple[bool, dict[str, float]]:
     """Whether adjacent zone fields agree on every switching-line point.
 
     Matching X values for all y on a vertical line pins a, b and alpha across
     the zones; the second components additionally couple beta with c through
-    the line abscissa.  Returns the flag and a description of each violated
-    constraint; with ``describe`` false the list stays empty, for callers
-    (closure dispatch) that need the flag alone.
+    the line abscissa.  Returns the flag and the violated constraints: each
+    name maps to its signed gap, which exceeds CONTINUITY_TOL * (1 +
+    coefficient_scale) in magnitude.  The flag is true when there is none.
     """
     if system.layout.n_zones == 2:
         lf, rf = system.fields
@@ -257,11 +257,7 @@ def is_continuous(
             "beta_L - beta_C - c_L + c_C": lf.beta - cf.beta - lf.c + cf.c,
         }
     tol = CONTINUITY_TOL * (1.0 + system.coefficient_scale)
-    if not describe:
-        return (not any(abs(gap) > tol for gap in gaps.values()), [])
-    violations = [
-        f"{name} = {gap:g}" for name, gap in gaps.items() if abs(gap) > tol
-    ]
+    violations = {name: gap for name, gap in gaps.items() if abs(gap) > tol}
     return (not violations, violations)
 
 
@@ -342,9 +338,11 @@ def system_from_json_dict(doc: object) -> PiecewiseSystem:
             for k in _COEF_KEYS
         }
         try:
-            fields.append(LinearHamiltonianField(**coefs))
+            field = LinearHamiltonianField(**coefs)
+            field.singularity  # a point that overflows is unusable input
         except DegenerateField as exc:
             raise SystemFormatError(f"zone {zone_id}: {exc}") from exc
+        fields.append(field)
     return PiecewiseSystem(layout, tuple(fields))
 
 

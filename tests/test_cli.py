@@ -320,8 +320,15 @@ def test_non_finite_derived_value_is_input_error(tmp_path, capsys, zone_l):
     doc["zones"][0].update(zone_l)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["classify", "--input", str(path)]) == EXIT_INPUT_ERROR
-    assert "finite" in capsys.readouterr().err
+    svg = tmp_path / "overflow.svg"
+    for argv in (
+        ["classify"], ["solve"], ["cycle"], ["verify"], ["oracle"],
+        ["plot", "--output", str(svg)],
+    ):
+        assert main([*argv, "--input", str(path)]) == EXIT_INPUT_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: zone L: ") and "finite" in err, argv
+    assert not svg.exists()
 
 
 def test_unreadable_path_is_input_error(ccc_path, tmp_path, capsys):

@@ -229,6 +229,15 @@ def test_certificate_json_round_trip(ccc):
     assert report.passed
 
 
+def test_verification_is_the_same_for_a_reloaded_certificate(examples):
+    # The same checks, verdicts and measured values, whether the certificate
+    # comes from memory or from its JSON summary.
+    for name, system in examples.items():
+        cert = find_limit_cycle(system)
+        again = certificate_from_json_dict(json.loads(_certificate_json(cert)))
+        assert verify_certificate(again, system) == verify_certificate(cert, system), name
+
+
 def test_certificate_json_is_sorted_and_stable(ccc):
     cert = find_limit_cycle(ccc)
     text1 = _certificate_json(cert)

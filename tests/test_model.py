@@ -156,6 +156,14 @@ def test_degenerate_field_rejected_at_construction():
         LinearHamiltonianField(0.0, 2.0, 5e-13, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_alpha_or_beta_rejected_at_construction(bad):
+    with pytest.raises(DegenerateField, match="not finite"):
+        LinearHamiltonianField(1.0, 1.0, 1.0, bad, 0.0)
+    with pytest.raises(DegenerateField, match="not finite"):
+        LinearHamiltonianField(1.0, 1.0, 1.0, 0.0, bad)
+
+
 # --- layouts -------------------------------------------------------------------
 
 INF = float("inf")
@@ -195,7 +203,7 @@ def test_layout_tables(layout, zones, lines, beside, intervals):
 def test_example_system_is_discontinuous(examples):
     flag, violations = is_continuous(examples["CCC"])
     assert flag is False
-    assert violations == [
+    assert [f"{name} = {gap:g}" for name, gap in violations.items()] == [
         "a_R - a_C = 4",
         "a_L - a_C = 4",
         "b_L - b_C = 6",
@@ -236,7 +244,6 @@ def test_dispatch_flag_agrees_with_is_continuous(seed, layout):
             cases.append((above, layout == "two" and key == "c"))
     for system, expected in cases:
         flag, violations = is_continuous(system)
-        assert is_continuous(system, describe=False) == (flag, [])
         assert flag == (not violations)
         if expected is not None:
             assert flag == expected
@@ -253,7 +260,15 @@ def test_constructed_continuous_three_zone_flags_true():
         system = random_continuous_three_zone(rng)
         flag, violations = is_continuous(system)
         assert flag is True
-        assert violations == []
+        assert violations == {}
+
+
+def test_continuity_violations_are_signed_gaps():
+    left = LinearHamiltonianField(1.0, 2.0, 3.0, 0.5, -0.5)
+    right = LinearHamiltonianField(1.5, 2.0, 3.0, 0.5, -0.5)
+    assert is_continuous(PiecewiseSystem.two_zone(left, right)) == (
+        False, {"a_R - a_L": 0.5}
+    )
 
 
 def test_two_zone_identical_fields_continuous():
