@@ -18,7 +18,7 @@ def main() -> None:
             print(f"{name}: no limit cycle, skipped")
             continue
         path = out / f"{name.lower()}.svg"
-        render_svg(cert, None, path, system=system)
+        render_svg(cert.polyline, cert.corners, None, path, system)
         print(f"{name}: wrote {path}")
 
 

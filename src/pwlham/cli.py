@@ -19,15 +19,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import closure, cycle, poincare
-from .cycle import CycleCertificate
 from .model import (
     PiecewiseSystem,
+    Point,
     is_continuous,
     load_system,
     singular_points_in_zone,
     system_from_json_dict,
 )
-from .poincare import Trajectory
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -83,25 +82,19 @@ def fixture_text(name: str) -> str:
 
 
 def render_svg(
-    source: CycleCertificate | Trajectory,
+    polyline: Sequence[Point],
+    corners: Sequence[Point],
     window: Optional[tuple[float, float, float, float]],
     path: str,
     system: PiecewiseSystem,
 ) -> None:
     """Write a deterministic 800x600 SVG phase portrait.
 
-    Switching lines are dashed and labelled, a certificate's orbit becomes a
-    closed path with labelled corner dots, a trajectory becomes an open
-    path.  Identical inputs produce byte-identical files.
+    Switching lines are dashed and labelled and the polyline is drawn as a
+    path.  With corners (a cycle's) the path is closed and the corners get
+    labelled dots; without, the path stays open.  Identical inputs produce
+    byte-identical files.
     """
-    if isinstance(source, CycleCertificate):
-        polyline = list(source.polyline)
-        corners = list(source.corners)
-        closed = True
-    else:
-        polyline = [state.point for state in source.states]
-        corners = []
-        closed = False
     if not polyline:
         raise ValueError("nothing to plot: empty polyline")
 
@@ -111,11 +104,11 @@ def render_svg(
     if window is None:
         window = _default_window(polyline, [x for _, x in lines])
     x_lo, x_hi, y_lo, y_hi = window
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise ValueError(f"empty plot window {window}")
-
     span_x = x_hi - x_lo
     span_y = y_hi - y_lo
+    # Also rejects NaN and infinite ends, which would print as nan pixels.
+    if not (0.0 < span_x < math.inf and 0.0 < span_y < math.inf):
+        raise ValueError(f"empty or non-finite plot window {window}")
     draw_w = CANVAS_WIDTH - 2.0 * CANVAS_MARGIN
     draw_h = CANVAS_HEIGHT - 2.0 * CANVAS_MARGIN
 
@@ -154,7 +147,7 @@ def render_svg(
         )
 
     points = " L ".join(f"{px(x):.3f} {py(y):.3f}" for x, y in polyline)
-    suffix = " Z" if closed else ""
+    suffix = " Z" if corners else ""
     parts.append(
         f'<path d="M {points}{suffix}" fill="none" stroke="#1f5fbf" '
         f'stroke-width="1.5"/>'
@@ -212,8 +205,7 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
+def _cmd_classify(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     continuous, violations = is_continuous(system)
     zones = []
     for zone_id, info, inside in singular_points_in_zone(system):
@@ -242,10 +234,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _outcome_payload(outcome: closure.ClosureOutcome) -> dict:
     if isinstance(outcome, closure.UniqueCycleCandidate):
-        return {
-            "outcome": "unique_candidate",
-            "corners": dict(zip(cycle.CORNER_KEYS, outcome)),
-        }
+        return {"outcome": "unique_candidate", "corners": outcome._asdict()}
     if isinstance(outcome, closure.NoSolution):
         return {"outcome": "no_solution", "reason": outcome.reason}
     return {
@@ -255,14 +244,12 @@ def _outcome_payload(outcome: closure.ClosureOutcome) -> dict:
     }
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
+def _cmd_solve(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     _emit_json(args, _outcome_payload(closure.solve(system)))
     return EXIT_OK
 
 
-def _cmd_cycle(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
+def _cmd_cycle(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     result = cycle.certify(system, samples_per_arc=UNPLOTTED_SAMPLES_PER_ARC)
     if result.certificate is None:
         _emit_json(
@@ -280,8 +267,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
+def _cmd_oracle(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     result = cycle.certify(system, samples_per_arc=UNPLOTTED_SAMPLES_PER_ARC)
     if result.certificate is None:
         _emit_json(
@@ -333,43 +319,43 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if agrees else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
-    result = cycle.certify(system, samples_per_arc=args.samples)
-    output = args.output or PLOT_OUTPUT
-    if result.certificate is not None:
-        render_svg(result.certificate, args.window, output, system=system)
+def _cmd_plot(args: argparse.Namespace, system: PiecewiseSystem) -> int:
+    certificate = cycle.find_limit_cycle(system, samples_per_arc=args.samples)
+    if certificate is not None:
+        polyline, corners = certificate.polyline, certificate.corners
     else:
         # No isolated cycle: plot a sample orbit for context.
-        render_svg(
-            _sample_trajectory(system, args.tol), args.window, output,
-            system=system,
-        )
+        polyline, corners = _sample_orbit(system, args.tol), ()
+    render_svg(polyline, corners, args.window, args.output or PLOT_OUTPUT, system)
     return EXIT_OK
 
 
-def _sample_trajectory(
-    system: PiecewiseSystem, tol: float
-) -> Trajectory:
+def _sample_orbit(system: PiecewiseSystem, tol: float) -> list[Point]:
     """A representative orbit for systems without a certified cycle.
 
     Starts strictly inside the rightmost zone; an orbit that runs into a
-    sliding segment is plotted up to that point.
+    sliding segment is plotted up to that point, one that overflows up to
+    its last finite state.
     """
     x_start = system.layout.switching_lines[-1][1] + 0.5
     for y_start in (1.0, -1.0, 2.0, 0.5, 3.0):
         try:
-            return poincare.integrate_numeric(
+            trajectory = poincare.integrate_numeric(
                 system, (x_start, y_start), t_max=10.0, tol=tol
             )
         except poincare.SlidingEncountered as exc:
-            if len(exc.trajectory.states) >= 2:
-                return exc.trajectory
+            trajectory = exc.trajectory
+        points = []
+        for state in trajectory.states:
+            if not all(map(math.isfinite, state.point)):
+                break
+            points.append(state.point)
+        if len(points) >= 2:
+            return points
     raise ValueError("could not sample a representative orbit for plotting")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
+def _cmd_verify(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     if args.certificate:
         with open(args.certificate, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -389,15 +375,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args,
         {
             "verified": report.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "limit": c.limit,
-                }
-                for c in report.checks
-            ],
+            "checks": [c._asdict() for c in report.checks],
         },
     )
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
@@ -480,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, load_system(args.input))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -29,8 +29,9 @@ from .model import LinearHamiltonianField, PiecewiseSystem, is_continuous
 # below DISPATCH_TOL times the coefficient scale of the system.
 DISPATCH_TOL = 1e-10
 
-# Negative discriminants above -CLAMP_TOL * scale are clamped to zero
-# (tangency counts as a double root and is then rejected by strict ordering).
+# Negative discriminants above -CLAMP_TOL * scale are clamped to zero: a
+# tangency counts as a double root, which strict ordering then rejects here
+# and the arrival-velocity test rejects in the saddle flight time.
 CLAMP_TOL = 1e-12
 
 
@@ -339,14 +340,14 @@ def conic_solutions(
         qa = m * m - 1.0
         qb = 2.0 * m * k - 2.0 * A * m + 2.0 * B
         qc = k * k - 2.0 * A * k + A * A - B * B - K * C
-        roots = _conic_roots(qa, qb, qc)
+        roots = quadratic_roots(qa, qb, qc)
         points = [(m * y3 + k, y3) for y3 in roots or ()]
     else:
         m, k = -p / q, -r / q  # y3 = m*y1 + k
         qa = 1.0 - m * m
         qb = -2.0 * A - 2.0 * m * k + 2.0 * B * m
         qc = A * A - k * k + 2.0 * B * k - B * B - K * C
-        roots = _conic_roots(qa, qb, qc)
+        roots = quadratic_roots(qa, qb, qc)
         points = [(y1, m * y1 + k) for y1 in roots or ()]
     if roots is None:
         return None
@@ -390,11 +391,12 @@ def _solve_generic(
     )
 
 
-def _conic_roots(qa: float, qb: float, qc: float) -> Optional[list[float]]:
-    """Real roots of the substituted quadratic, with tangency clamping.
+def quadratic_roots(qa: float, qb: float, qc: float) -> Optional[list[float]]:
+    """Real roots of qa w^2 + qb w + qc, with tangency clamping.
 
-    None when the quadratic vanishes identically (the whole line solves the
-    conic).
+    A slightly negative discriminant counts as a double root.  None when the
+    quadratic vanishes identically (on the conics: the whole difference line
+    solves them).
     """
     scale = max(abs(qa), abs(qb), abs(qc))
     if scale == 0.0 or scale <= CLAMP_TOL:

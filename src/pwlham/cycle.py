@@ -273,13 +273,7 @@ def certificate_to_json_dict(certificate: CycleCertificate) -> dict:
         },
         "flight_times": dict(zip(TIME_KEYS, certificate.flight_times)),
         "crossings": [
-            {
-                "corner": key,
-                "derivative_minus": c.derivative_minus,
-                "derivative_plus": c.derivative_plus,
-                "product": c.product,
-                "label": c.label,
-            }
+            {"corner": key, "product": c.product, **c._asdict()}
             for key, c in zip(CORNER_KEYS, certificate.crossings)
         ],
         "period": certificate.period,

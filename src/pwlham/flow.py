@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Literal, NamedTuple
 
+from .closure import quadratic_roots
 from .model import (
     LinearHamiltonianField,
     PiecewiseSystem,
@@ -207,14 +208,14 @@ def _saddle_flight_time(
     With u, v, d as in flight_time, x(t) - s1 = 0 becomes the quadratic
     (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0);
     when the start already sits on the target line, w = 1 is a root and is
-    deflated out exactly.
+    deflated out exactly.  A grazing arc's clamped double root arrives with
+    zero x-velocity, a tangential contact.
     """
-    roots: list[float]
     if p0[0] == s1:
         # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
         roots = [] if u + v == 0.0 else [(u - v) / (u + v)]
     else:
-        roots = _real_quadratic_roots(u + v, -2.0 * d, u - v)
+        roots = quadratic_roots(u + v, -2.0 * d, u - v) or []
 
     times = sorted(math.log(w) / lam for w in roots if w > 1.0 + 1e-13)
     if not times:
@@ -228,24 +229,6 @@ def _saddle_flight_time(
     raise NeverReaches(
         f"no arrival at x = {s1:g} with the required crossing direction"
     )
-
-
-def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a w^2 + b w + c, numerically stable, tiny-a aware."""
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        return []
-    if abs(a) <= 1e-15 * scale:
-        return [] if abs(b) <= 1e-15 * scale else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
-    if q == 0.0:
-        return [0.0]
-    r1, r2 = q / a, c / q
-    return [r1] if r1 == r2 else [r1, r2]
 
 
 def flight_time(

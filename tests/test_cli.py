@@ -273,6 +273,26 @@ def test_plot_without_cycle_draws_sample_orbit(continuous_path, tmp_path):
     assert text.count(" Z\"") == 0  # open orbit, not a closed cycle path
 
 
+def test_plot_of_an_overflowing_orbit_has_no_nan(tmp_path, capsys):
+    # Saddles with a = 300 outside a centre strip: the sample orbit
+    # overflows after about 2.4 time units, at state 3547 of 15002.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"layout": "three", "zones": [
+        {"a": "300", "b": "1", "c": "1", "alpha": "0", "beta": "0"},
+        {"a": "0", "b": "2", "c": "-2", "alpha": "2/3", "beta": "2/3"},
+        {"a": "300", "b": "1", "c": "1", "alpha": "0", "beta": "1"},
+    ]}), encoding="utf-8")
+    svg = tmp_path / "overflow.svg"
+    code = main(["plot", "--input", str(path), "--output", str(svg)])
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        text = svg.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text
+    else:
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith("error: ")
+
+
 def test_plot_window_and_errors(ccc_path, tmp_path):
     svg = tmp_path / "w.svg"
     code = main(["plot", "--input", str(ccc_path), "--output", str(svg),
@@ -403,11 +423,10 @@ def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
 
 def test_render_svg_rejects_empty_polyline(tmp_path):
     from pwlham.cli import render_svg
-    from pwlham.poincare import Trajectory
 
     system = dict(bundle_examples())["CCC"]
     with pytest.raises(ValueError):
-        render_svg(Trajectory((), ()), None, tmp_path / "empty.svg", system)
+        render_svg((), (), None, tmp_path / "empty.svg", system)
 
 
 def test_invalid_options_exit_2(ccc_path, tmp_path):

@@ -254,6 +254,16 @@ def test_flight_time_half_turn_is_tangential():
         flight_time(field, (1.0, 0.0), -1.0)
 
 
+def test_flight_time_grazing_saddle_arc_is_tangential():
+    # The hyperbola x^2 - y^2 = 7.4375 through (3, -1.25) has its vertex on
+    # the target line: the saddle arc only grazes it, as the unit circle
+    # grazes x = -1 above.  The tangency clamp turns the rounded-negative
+    # discriminant into a double root, whose arrival velocity vanishes.
+    field = F(0.0, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(TangentialContact):
+        flight_time(field, (3.0, -1.25), math.sqrt(9.0 - 1.5625))
+
+
 def test_flight_time_transversal_third_turn():
     # Radius-2 circle from (1, -sqrt(3)) reaches x = -1 after a third turn.
     field = F(0.0, 1.0, -1.0, 0.0, 0.0)

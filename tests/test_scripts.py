@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
+
+from pwlham.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +23,45 @@ def test_random_survey_report(monkeypatch, capsys):
     runpy.run_path(str(ROOT / "scripts" / "random_survey.py"), run_name="__main__")
     expected = (ROOT / "tests" / "random_survey_count2000_seed0.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of each portrait: the six certified cycles (closed paths with
+# corner labels) and the sample orbits of three systems without an isolated
+# cycle (open paths).  Any change to the renderer or to the drawn orbit
+# moves a hash.
+PORTRAIT_SHA256 = {
+    "ccc": "53cc9ede97f4d7d7b50048e4c7987b7cbd7bd0a96d8aeb30c7c6a9ab381d64e6",
+    "scc": "de89de64ef1924dfdce6430b75d51ef7d9b34b84edabb342b3a6a4a4b3d63bb8",
+    "scs": "21eab3c9cb7ae479dd503c9f257daa681106d8b757c440606d16bbd8f2f8844a",
+    "csc": "fc2699e35220c3ec8ad3b141a1c4bf6b319292a3491d433e8d20bec26167d14d",
+    "sss": "c831390e00258c269c79153623235439b95b853cb1cbb48ba16b8d055d500540",
+    "ssc": "67082f4f13cf03d79a39fdbf4c570f844c4dc66d7d877e9f852b468d56cc9419",
+}
+SAMPLE_ORBIT_SHA256 = {
+    "continuous": "89beea8b3eda2b128dae7d95595280c37f8be56e9de2d034139d6721a2fd6811",
+    "two_zone": "6061e3df1fc54aa09ed3bbe44a5515ed9795edf8792f6bc273bfd4a468f1d21b",
+    "scs_grazing": "a080bb5b9fd5a1d9deae0ba3f7d44d21776611684cc2bb750590baa57ab93376",
+}
+
+
+def test_render_portraits_bytes(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["render_portraits.py"])
+    runpy.run_path(str(ROOT / "scripts" / "render_portraits.py"), run_name="__main__")
+    assert capsys.readouterr().out == "".join(
+        f"{name.upper()}: wrote portraits/{name}.svg\n" for name in PORTRAIT_SHA256
+    )
+    for name, digest in PORTRAIT_SHA256.items():
+        assert _sha256(tmp_path / "portraits" / f"{name}.svg") == digest, name
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_ORBIT_SHA256))
+def test_plot_sample_orbit_bytes(name, tmp_path):
+    svg = tmp_path / f"{name}.svg"
+    source = ROOT / "tests" / "golden" / f"{name}.input.json"
+    assert main(["plot", "--input", str(source), "--output", str(svg)]) == EXIT_OK
+    assert _sha256(svg) == SAMPLE_ORBIT_SHA256[name]
