@@ -335,7 +335,7 @@ def _sample_orbit(system: PiecewiseSystem, tol: float) -> list[Point]:
 
     Starts strictly inside the rightmost zone; an orbit that runs into a
     sliding segment is plotted up to that point, one that overflows up to
-    its last finite state.
+    its last finite state (where integrate_numeric ends it).
     """
     x_start = system.layout.switching_lines[-1][1] + 0.5
     for y_start in (1.0, -1.0, 2.0, 0.5, 3.0):
@@ -345,11 +345,7 @@ def _sample_orbit(system: PiecewiseSystem, tol: float) -> list[Point]:
             )
         except poincare.SlidingEncountered as exc:
             trajectory = exc.trajectory
-        points = []
-        for state in trajectory.states:
-            if not all(map(math.isfinite, state.point)):
-                break
-            points.append(state.point)
+        points = [state.point for state in trajectory.states]
         if len(points) >= 2:
             return points
     raise ValueError("could not sample a representative orbit for plotting")

@@ -27,7 +27,7 @@ import json
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Optional
 
 Point = tuple[float, float]
 
@@ -130,7 +130,12 @@ THREE_ZONE = ZoneLayout("three", ("L", "C", "R"), (("L", -1.0), ("R", 1.0)))
 
 
 class PiecewiseSystem:
-    """Zone layout plus one nondegenerate field per zone, ordered L(, C), R."""
+    """Zone layout plus one nondegenerate field per zone, ordered L(, C), R.
+
+    ``coefficient_scale`` is the largest coefficient magnitude, used for
+    scale-aware tolerances.  It and the continuity verdict are derived once,
+    so a system's fields are not to be changed after construction.
+    """
 
     def __init__(
         self, layout: ZoneLayout, fields: tuple[LinearHamiltonianField, ...]
@@ -139,6 +144,14 @@ class PiecewiseSystem:
             raise LayoutError(f"{layout.n_zones} zones but {len(fields)} fields")
         self.layout = layout
         self.fields = fields
+        self.coefficient_scale = max(
+            [
+                max(abs(f.a), abs(f.b), abs(f.c), abs(f.alpha), abs(f.beta))
+                for f in fields
+            ]
+        )
+        # is_continuous's (flag, violations), kept at its first call.
+        self._continuity: Optional[tuple[bool, dict[str, float]]] = None
 
     @classmethod
     def two_zone(
@@ -164,16 +177,6 @@ class PiecewiseSystem:
         """A switching line's abscissa and the fields on its x < and x > sides."""
         x, i = _lookup(self.layout._lines, line_id, "switching line")
         return (x, self.fields[i], self.fields[i + 1])
-
-    @cached_property
-    def coefficient_scale(self) -> float:
-        """Largest coefficient magnitude; used for scale-aware tolerances."""
-        return max(
-            [
-                max(abs(f.a), abs(f.b), abs(f.c), abs(f.alpha), abs(f.beta))
-                for f in self.fields
-            ]
-        )
 
 
 class SingularKind(NamedTuple):
@@ -235,7 +238,11 @@ def is_continuous(system: PiecewiseSystem) -> tuple[bool, dict[str, float]]:
     the line abscissa.  Returns the flag and the violated constraints: each
     name maps to its signed gap, which exceeds CONTINUITY_TOL * (1 +
     coefficient_scale) in magnitude.  The flag is true when there is none.
+    The pair is computed at the first call and kept on the system; every
+    later call returns that same pair.
     """
+    if system._continuity is not None:
+        return system._continuity
     if system.layout.n_zones == 2:
         lf, rf = system.fields
         gaps = {
@@ -258,7 +265,8 @@ def is_continuous(system: PiecewiseSystem) -> tuple[bool, dict[str, float]]:
         }
     tol = CONTINUITY_TOL * (1.0 + system.coefficient_scale)
     violations = {name: gap for name, gap in gaps.items() if abs(gap) > tol}
-    return (not violations, violations)
+    system._continuity = (not violations, violations)
+    return system._continuity
 
 
 def singular_points_in_zone(

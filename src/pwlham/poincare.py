@@ -177,7 +177,9 @@ def integrate_numeric(
     time is found inside that step by safeguarded Newton on the quartic, to
     EVENT_TOL, and recorded in order.  A crossing hands the orbit to the
     neighbouring zone, while a sliding/escaping/tangential contact raises
-    SlidingEncountered (with the partial trajectory attached).
+    SlidingEncountered (with the partial trajectory attached).  A step that
+    would end at a state that is not finite ends the run instead, so every
+    returned state is finite.
     ``stop_event`` may end the run at a recorded event, e.g. to realize a
     return map.
     """
@@ -228,10 +230,18 @@ def integrate_numeric(
 
         x_quartic, y_quartic = _step_quartics(field, p)
         x_end = _quartic(x_quartic, h)
+        y_end = _quartic(y_quartic, h)
+        if not (math.isfinite(x_end) and math.isfinite(y_end)):
+            # The orbit overflows and ends at its last finite state.  Whole
+            # steps stop at an abscissa that is not finite, so at most the
+            # ordinate of the last one overflowed; that state is dropped.
+            if record_states and not math.isfinite(y):
+                states.pop()
+            break
         crossing_line = _crossed_line(zone_lines, x, x_end)
         if crossing_line is None:
             t += h
-            p = (x_end, _quartic(y_quartic, h))
+            p = (x_end, y_end)
             if record_states:
                 states.append(FlowState(p, t, zone))
             continue

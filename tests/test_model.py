@@ -271,6 +271,40 @@ def test_continuity_violations_are_signed_gaps():
     )
 
 
+def test_scale_and_continuity_verdict_are_derived_once():
+    rng = random.Random(29)
+    system = random_three_zone(rng)
+    assert "coefficient_scale" in vars(system)
+    assert is_continuous(system) is is_continuous(system)
+    for i in range(200):
+        if i % 4:
+            system = random_three_zone(rng)
+        else:
+            system = random_continuous_three_zone(rng)
+        lf, cf, rf = system.fields
+        gaps = {
+            "a_R - a_C": rf.a - cf.a,
+            "a_L - a_C": lf.a - cf.a,
+            "b_R - b_C": rf.b - cf.b,
+            "b_L - b_C": lf.b - cf.b,
+            "alpha_R - alpha_C": rf.alpha - cf.alpha,
+            "alpha_L - alpha_C": lf.alpha - cf.alpha,
+            "beta_R - beta_C - c_C + c_R": rf.beta - cf.beta - cf.c + rf.c,
+            "beta_L - beta_C - c_L + c_C": lf.beta - cf.beta - lf.c + cf.c,
+        }
+        scale = max(
+            abs(getattr(f, k))
+            for f in system.fields
+            for k in ("a", "b", "c", "alpha", "beta")
+        )
+        assert system.coefficient_scale == scale
+        tol = CONTINUITY_TOL * (1.0 + scale)
+        expected = {name: gap for name, gap in gaps.items() if abs(gap) > tol}
+        first = is_continuous(system)
+        assert first == (not expected, expected)
+        assert is_continuous(system) is first
+
+
 def test_two_zone_identical_fields_continuous():
     f = LinearHamiltonianField(1.0, 2.0, 3.0, 0.5, -0.5)
     flag, _ = is_continuous(PiecewiseSystem.two_zone(f, f))

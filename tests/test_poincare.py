@@ -196,6 +196,38 @@ def test_event_newton_root_matches_bisected_rk4_step(ccc, monkeypatch):
         assert abs(_rk4_step(field, p, tau)[0] - line_x) <= EVENT_TOL
 
 
+def _overflowing_systems():
+    """Saddles with a = 300 around a centre strip, whose orbit from (1.5, 1)
+    overflows after about 2.4 time units, and outer zones with b = 0 and
+    c = 1e306, whose ordinate overflows inside a whole step."""
+    centre = F(0.0, 2.0, -2.0, 2.0 / 3.0, 2.0 / 3.0)
+    saddles = PiecewiseSystem.three_zone(
+        F(300.0, 1.0, 1.0, 0.0, 0.0), centre, F(300.0, 1.0, 1.0, 0.0, 1.0)
+    )
+    steep = F(1.0, 0.0, 1e306, 0.0, 0.0)
+    return [saddles, PiecewiseSystem.three_zone(steep, centre, steep)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["saddles", "ordinate"])
+def test_overflowing_orbit_ends_at_its_last_finite_state(index, monkeypatch):
+    system = _overflowing_systems()[index]
+    checked = []
+    step_quartics = poincare._step_quartics
+
+    def counted(field, p):
+        checked.append(p)
+        return step_quartics(field, p)
+
+    monkeypatch.setattr(poincare, "_step_quartics", counted)
+    trajectory = integrate_numeric(system, (1.5, 1.0), t_max=10.0)
+    assert len(trajectory.states) > 100
+    assert all(map(math.isfinite, (v for s in trajectory.states for v in s.point)))
+    assert trajectory.states[-1].time < 10.0
+    assert len(checked) <= 10
+    with pytest.raises(NoReturn):
+        first_return(system, 5.0)
+
+
 def test_energy_drift_within_each_zone_segment(ccc):
     tol = 1e-9
     y0 = GOLDEN_CORNERS["CCC"][0]
