@@ -34,6 +34,10 @@ DISPATCH_TOL = 1e-10
 # and the arrival-velocity test rejects in the saddle flight time.
 CLAMP_TOL = 1e-12
 
+# Two roots r1, r2 with |r1 - r2| <= ROOT_MERGE_TOL * (1 + |r1| + |r2|) are
+# one double root.
+ROOT_MERGE_TOL = 1e-12
+
 
 class NoSolution(NamedTuple):
     """The closure equations admit no ordered corner tuple."""
@@ -417,7 +421,7 @@ def quadratic_roots(qa: float, qb: float, qc: float) -> Optional[list[float]]:
     if q == 0.0:
         return [0.0]
     r1, r2 = q / qa, qc / q
-    if abs(r1 - r2) <= 1e-12 * (1.0 + abs(r1) + abs(r2)):
+    if abs(r1 - r2) <= ROOT_MERGE_TOL * (1.0 + abs(r1) + abs(r2)):
         return [r1]
     return [r1, r2]
 

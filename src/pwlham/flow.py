@@ -43,6 +43,18 @@ REFINE_TOL = 1e-12
 # Agreement required between the closed-form flight time and its refinement.
 CROSS_CHECK_TOL = 1e-9
 
+# A center orbit of radius R about px reaches the line x = px + d while
+# |d| <= R * (1 + REACH_TOL) + TANGENCY_TOL.
+REACH_TOL = 1e-14
+
+# A center flight-time phase at or below this is the start itself; the
+# arrival is one full turn later.
+ZERO_PHASE_TOL = 1e-12
+
+# A saddle root w = exp(l t) counts as a positive time only above
+# 1 + SADDLE_START_TOL; nearer 1 it is the start itself.
+SADDLE_START_TOL = 1e-13
+
 
 class NeverReaches(ValueError):
     """No admissible positive time carries the orbit to the target line."""
@@ -182,7 +194,7 @@ def _center_flight_time(
     family and the smallest positive representative is the answer.
     """
     radius = math.hypot(u, v)
-    if radius <= TANGENCY_TOL or abs(d) > radius * (1.0 + 1e-14) + TANGENCY_TOL:
+    if radius <= TANGENCY_TOL or abs(d) > radius * (1.0 + REACH_TOL) + TANGENCY_TOL:
         raise NeverReaches(f"orbit x-range misses the line x = {s1:g}")
     cos_arg = max(-1.0, min(1.0, d / radius))
     psi = math.acos(cos_arg)
@@ -194,7 +206,7 @@ def _center_flight_time(
     angle = math.fmod(phi + theta, 2.0 * math.pi)
     if angle < 0.0:
         angle += 2.0 * math.pi
-    if angle <= 1e-12:
+    if angle <= ZERO_PHASE_TOL:
         angle += 2.0 * math.pi
     return angle / w
 
@@ -217,7 +229,7 @@ def _saddle_flight_time(
     else:
         roots = quadratic_roots(u + v, -2.0 * d, u - v) or []
 
-    times = sorted(math.log(w) / lam for w in roots if w > 1.0 + 1e-13)
+    times = sorted(math.log(w) / lam for w in roots if w > 1.0 + SADDLE_START_TOL)
     if not times:
         raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
     for t in times:

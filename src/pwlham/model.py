@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import cached_property
-from fractions import Fraction
 from typing import Literal, NamedTuple, Optional
 
 Point = tuple[float, float]
@@ -300,22 +300,46 @@ class SystemFormatError(ValueError):
     """A system-definition document does not match the expected schema."""
 
 
-def coefficient_from_json(value: object, where: str) -> float:
-    """Parse a number or an exact rational string "p/q" into a finite float."""
+# "p" or "p/q" in ASCII digits: one int true division converts it, correctly
+# rounded, to the float that fractions.Fraction gives.  Other text (decimals,
+# exponents, spaces, underscores, other digits) goes through Fraction.
+_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _finite_number(value: object) -> float:
+    """A number or rational text as a finite float.
+
+    A SystemFormatError raised here names the value, not where it sits.
+    """
     if isinstance(value, bool):
-        raise SystemFormatError(f"{where}: expected a number, got {value!r}")
+        raise SystemFormatError(f"expected a number, got {value!r}")
     if not isinstance(value, (int, float, str)):
-        kind = type(value).__name__
-        raise SystemFormatError(f"{where}: expected a number, got {kind}")
+        raise SystemFormatError(f"expected a number, got {type(value).__name__}")
     try:
-        number = float(Fraction(value) if isinstance(value, str) else value)
+        if not isinstance(value, str):
+            number = float(value)
+        elif ratio := _INT_RATIO.fullmatch(value):
+            p, q = ratio.groups()
+            number = int(p) / int(q or 1)
+        else:
+            from fractions import Fraction
+
+            number = float(Fraction(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemFormatError(f"{where}: bad rational {value!r}") from exc
+        raise SystemFormatError(f"bad rational {value!r}") from exc
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise SystemFormatError(f"{where}: {value!r} is not a finite number")
+        raise SystemFormatError(f"{value!r} is not a finite number")
     return number
+
+
+def coefficient_from_json(value: object, where: str) -> float:
+    """Parse a number or an exact rational string "p/q" into a finite float."""
+    try:
+        return _finite_number(value)
+    except SystemFormatError as exc:
+        raise SystemFormatError(f"{where}: {exc}") from exc.__cause__
 
 
 def system_from_json_dict(doc: object) -> PiecewiseSystem:
@@ -341,10 +365,15 @@ def system_from_json_dict(doc: object) -> PiecewiseSystem:
         missing = [k for k in _COEF_KEYS if k not in zone]
         if missing:
             raise SystemFormatError(f"zone {zone_id}: missing keys {missing}")
-        coefs = {
-            k: coefficient_from_json(zone[k], where=f"zone {zone_id}, field {k!r}")
-            for k in _COEF_KEYS
-        }
+        coefs = {}
+        for k in _COEF_KEYS:
+            try:
+                coefs[k] = _finite_number(zone[k])
+            except SystemFormatError as exc:
+                # The label is built only for a coefficient that is rejected.
+                raise SystemFormatError(
+                    f"zone {zone_id}, field {k!r}: {exc}"
+                ) from exc.__cause__
         try:
             field = LinearHamiltonianField(**coefs)
             field.singularity  # a point that overflows is unusable input

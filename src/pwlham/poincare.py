@@ -38,6 +38,13 @@ FIXED_POINT_Y_TOL = 1e-10
 # below this.
 EVENT_TOL = 1e-12
 
+# It also stops only once the next Newton correction is within
+# EVENT_WIDTH_TOL * max(h, 1), for a step of length h.
+EVENT_WIDTH_TOL = 1e-10
+
+# The step-size cap divides by the fastest zone modulus, floored at this.
+MODULUS_FLOOR = 1e-6
+
 
 class SlidingEncountered(RuntimeError):
     """The orbit reached a switching-line segment it cannot cross."""
@@ -82,7 +89,7 @@ def _base_step(system: PiecewiseSystem, tol: float) -> float:
     per-step rotation/growth angle modest in stiff-ish zones.
     """
     fastest = max(f.singularity.modulus for f in system.fields)
-    return min(0.5 * tol ** 0.25, 0.2 / max(fastest, 1e-6))
+    return min(0.5 * tol ** 0.25, 0.2 / max(fastest, MODULUS_FLOOR))
 
 
 def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
@@ -277,12 +284,13 @@ def _locate_event(offset: tuple[float, ...], h: float, g_end: float) -> float:
     ``offset`` holds the quartic g(tau) = x(tau) - line, which changes sign
     over [0, h] or vanishes at h (g_end = g(h)).  Newton from the secant
     root, kept inside the shrinking sign bracket by bisection, stops once
-    |g| <= EVENT_TOL and the next correction is within 1e-10 max(h, 1).
+    |g| <= EVENT_TOL and the next correction is within EVENT_WIDTH_TOL
+    * max(h, 1).
     """
     g0, g1, g2, g3, g4 = offset
     lo, hi = 0.0, h
     tau = h * g0 / (g0 - g_end) if g0 != 0.0 else 0.5 * h
-    width = 1e-10 * max(h, 1.0)
+    width = EVENT_WIDTH_TOL * max(h, 1.0)
     for _ in range(200):
         g = _quartic(offset, tau)
         if g0 * g > 0.0:

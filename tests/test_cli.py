@@ -214,16 +214,29 @@ def test_output_help_names_each_default(capsys):
 
 def test_cold_import_skips_unused_modules():
     """Importing the CLI on a bare interpreter (-S: no site hooks) loads none
-    of these modules; each one costs start-up time that no command needs."""
-    unwanted = ["dataclasses", "inspect", "pathlib", "importlib.resources", "csv"]
-    code = "import pwlham.cli, sys; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    of these modules; each one costs start-up time that no command needs.
+    Loading the bundled fixtures, whose "p/q" text is converted by integer
+    division, loads none of them either."""
+    unwanted = [
+        "dataclasses", "inspect", "pathlib", "importlib.resources", "csv",
+        "fractions", "decimal", "numbers",
+    ]
+    code = (
+        "import pwlham.cli, sys\n"
+        "fixtures, unwanted = sys.argv[1], set(sys.argv[2:])\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        "for name in pwlham.cli.FIXTURE_NAMES:\n"
+        "    pwlham.cli.load_system(f'{fixtures}/{name.lower()}.json')\n"
+        "print(sorted(unwanted & set(sys.modules)))"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
+    fixtures = src / "pwlham" / "fixtures"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, *unwanted],
+        [sys.executable, "-S", "-c", code, str(fixtures), *unwanted],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_plot_command_is_deterministic(ccc_path, tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from pwlham.model import (
     PiecewiseSystem,
     SystemFormatError,
     classify_singularity,
+    coefficient_from_json,
     hamiltonian_value,
     is_continuous,
     singular_points_in_zone,
@@ -391,6 +394,70 @@ def test_rational_strings_parse_exactly():
     }
     system = system_from_json_dict(doc)
     assert system.fields[0].a == system.fields[1].a == 2.75
+
+
+WHERE = "zone L, field 'a'"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # "p" or "p/q" in ASCII digits: the integer-division path.
+        "3", "-3", "+3", "-0", "0/5", "3/4", "-3/4", "007/010",
+        # Other rational text, read by fractions.Fraction.
+        " 3/4 ", "1.5", "1e3", "\u0663",
+        pytest.param(
+            "1_000",
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="Fraction reads '_' from 3.11"
+            ),
+        ),
+    ],
+)
+def test_rational_text_parses_as_fraction_does(text):
+    expected = float(Fraction(text))
+    assert coefficient_from_json(text, WHERE).hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3/0", "0/0", "3/-4", "/4", "3/", "", "nan", "3\n4", "7" * 5000],
+)
+def test_bad_rational_text_rejected(text):
+    with pytest.raises(SystemFormatError) as info:
+        coefficient_from_json(text, WHERE)
+    assert str(info.value) == f"{WHERE}: bad rational {text!r}"
+
+
+def test_overflowing_rational_text_rejected():
+    text = "1" + "0" * 400 + "/3"
+    with pytest.raises(SystemFormatError) as info:
+        coefficient_from_json(text, WHERE)
+    assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
+
+
+def test_random_ratios_parse_as_fraction_does():
+    rng = random.Random(20211)
+    for _ in range(2000):
+        p = rng.randint(-(10 ** 30), 10 ** 30)
+        q = rng.randint(1, 10 ** 40)
+        parsed = coefficient_from_json(f"{p}/{q}", WHERE)
+        assert parsed.hex() == float(Fraction(p, q)).hex(), (p, q)
+
+
+def test_coefficient_errors_name_the_zone_and_field():
+    doc = {
+        "layout": "three",
+        "zones": [
+            {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0},
+            {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0},
+            {"a": 1, "b": 0, "c": 1, "alpha": "1/0", "beta": 0},
+        ],
+    }
+    with pytest.raises(SystemFormatError) as info:
+        system_from_json_dict(doc)
+    assert str(info.value) == "zone R, field 'alpha': bad rational '1/0'"
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 @pytest.mark.parametrize(
