@@ -39,12 +39,13 @@ ARC_ZONES = ("R", "C", "L", "C")
 TIME_KEYS = ("t_R", "t_C1", "t_L", "t_C2")
 
 
+# The abscissae of the corners' switching lines, (1, 1, -1, -1).
+CORNER_XS = tuple(map(THREE_ZONE.line_position, CORNER_LINES))
+
+
 def _corner_points(ordinates) -> tuple[Point, Point, Point, Point]:
     """The corners (1, y0), (1, y1), (-1, y2), (-1, y3) of a cycle."""
-    return tuple(
-        (THREE_ZONE.line_position(line_id), y)
-        for line_id, y in zip(CORNER_LINES, ordinates)
-    )
+    return tuple(zip(CORNER_XS, ordinates))
 
 
 def _arcs(system: PiecewiseSystem, corners):

@@ -95,6 +95,8 @@ class ZoneLayout:
         self.zone_ids = zone_ids
         self.switching_lines = switching_lines
         self.n_zones = len(zone_ids)
+        # zone id -> its index in zone_ids and in a system's fields.
+        self._zones = {zone_id: i for i, zone_id in enumerate(zone_ids)}
         # line id -> (abscissa, i): zones i and i + 1 lie on its x < and x > sides.
         self._lines = {
             line_id: (x, i) for i, (line_id, x) in enumerate(switching_lines)
@@ -133,8 +135,9 @@ class PiecewiseSystem:
     """Zone layout plus one nondegenerate field per zone, ordered L(, C), R.
 
     ``coefficient_scale`` is the largest coefficient magnitude, used for
-    scale-aware tolerances.  It and the continuity verdict are derived once,
-    so a system's fields are not to be changed after construction.
+    scale-aware tolerances.  It, the continuity verdict and the three-zone
+    closure outcome are derived once, so a system's fields are not to be
+    changed after construction.
     """
 
     def __init__(
@@ -144,14 +147,16 @@ class PiecewiseSystem:
             raise LayoutError(f"{layout.n_zones} zones but {len(fields)} fields")
         self.layout = layout
         self.fields = fields
-        self.coefficient_scale = max(
-            [
-                max(abs(f.a), abs(f.b), abs(f.c), abs(f.alpha), abs(f.beta))
-                for f in fields
-            ]
-        )
-        # is_continuous's (flag, violations), kept at its first call.
+        scale = 0.0
+        for f in fields:
+            for value in (f.a, f.b, f.c, f.alpha, f.beta):
+                if abs(value) > scale:
+                    scale = abs(value)
+        self.coefficient_scale = scale
+        # is_continuous's (flag, violations) and closure.solve_three_zone's
+        # outcome, each kept at its first call.
         self._continuity: Optional[tuple[bool, dict[str, float]]] = None
+        self._closure = None
 
     @classmethod
     def two_zone(
@@ -169,7 +174,7 @@ class PiecewiseSystem:
         return cls(THREE_ZONE, (left, center, right))
 
     def field(self, zone_id: str) -> LinearHamiltonianField:
-        return self.fields[self.layout.zone_ids.index(zone_id)]
+        return self.fields[_lookup(self.layout._zones, zone_id, "zone")]
 
     def line_fields(
         self, line_id: str
@@ -305,6 +310,27 @@ class SystemFormatError(ValueError):
 # exponents, spaces, underscores, other digits) goes through Fraction.
 _INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# int() takes text of this many digits under any int digit limit: 640 is
+# sys.int_info.str_digits_check_threshold, the least limit that can be set.
+_DIGIT_CHUNK = 640
+
+
+def _int_from_digits(text: str) -> int:
+    """int(text) for [+-]?[0-9]+ text of any length.
+
+    The digits are split in halves until each part is within the
+    interpreter's int digit limit; a left-to-right loop over parts would
+    take time quadratic in the length.
+    """
+    digits = text.lstrip("+-")
+    if len(digits) <= _DIGIT_CHUNK:
+        n = int(digits)
+    else:
+        half = len(digits) // 2
+        high, low = digits[:-half], digits[-half:]
+        n = _int_from_digits(high) * 10 ** half + _int_from_digits(low)
+    return -n if text[0] == "-" else n
+
 
 def _finite_number(value: object) -> float:
     """A number or rational text as a finite float.
@@ -320,7 +346,10 @@ def _finite_number(value: object) -> float:
             number = float(value)
         elif ratio := _INT_RATIO.fullmatch(value):
             p, q = ratio.groups()
-            number = int(p) / int(q or 1)
+            try:
+                number = int(p) / int(q or 1)
+            except ValueError:  # more digits than the int digit limit
+                number = _int_from_digits(p) / _int_from_digits(q or "1")
         else:
             from fractions import Fraction
 

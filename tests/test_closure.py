@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pwlham import closure, model
 from pwlham.closure import (
     Continuum,
     NoSolution,
@@ -18,6 +21,7 @@ from pwlham.closure import (
     solve_three_zone,
     solve_two_zone,
 )
+from pwlham.cycle import certify
 from pwlham.model import (
     LinearHamiltonianField,
     PiecewiseSystem,
@@ -370,6 +374,62 @@ def test_solver_agrees_with_grid_plus_polish_oracle():
             assert ordered == []
         checked += 1
     assert checked >= 15
+
+
+# --- the kept outcome ------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_three_zone_outcome_is_derived_once(examples, monkeypatch):
+    classified = _count_calls(monkeypatch, closure, "_classify_three_zone")
+    continuity = _count_calls(monkeypatch, closure, "is_continuous")
+    system = PiecewiseSystem(examples["CCC"].layout, examples["CCC"].fields)
+    outcome = solve_three_zone(system)
+    assert isinstance(outcome, UniqueCycleCandidate)
+    assert solve_three_zone(system) is outcome
+    assert solve(system) is outcome
+    # certify on a solved system keeps the outcome and certifies it.
+    result = certify(system)
+    assert result.outcome is outcome
+    assert result.certificate is not None
+    assert len(classified) == 1
+    # is_continuous is still asked once per call: four calls, one verdict.
+    assert len(continuity) == 4
+    assert model.is_continuous(system) is model.is_continuous(system)
+
+
+def test_kept_outcomes_match_fresh_derivations():
+    # The systems scripts/random_survey.py draws at --count 2000 --seed 0,
+    # solved then certified as the survey does; each kept outcome equals the
+    # outcome of a new system built from the same fields.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_survey.py"
+    random_field = runpy.run_path(str(script))["random_field"]
+    rng = random.Random(0)
+    candidates = 0
+    for _ in range(2000):
+        system = PiecewiseSystem.three_zone(
+            random_field(rng), random_field(rng), random_field(rng)
+        )
+        if model.is_continuous(system)[0]:
+            continue
+        outcome = solve_three_zone(system)
+        if isinstance(outcome, UniqueCycleCandidate):
+            candidates += 1
+            assert certify(system, samples_per_arc=8).outcome is outcome
+        fresh = PiecewiseSystem(system.layout, system.fields)
+        assert solve_three_zone(fresh) == outcome
+    assert candidates == 722  # as tests/random_survey_count2000_seed0.txt says
 
 
 # --- two-zone solve --------------------------------------------------------------

@@ -200,6 +200,21 @@ def test_layout_tables(layout, zones, lines, beside, intervals):
             layout.zone_interval(unknown)
 
 
+@pytest.mark.parametrize("layout", [TWO_ZONE, THREE_ZONE], ids=["two", "three"])
+def test_field_of_an_unknown_zone_raises_layout_error(layout):
+    rng = random.Random(17)
+    system = PiecewiseSystem(
+        layout, tuple(random_field(rng) for _ in layout.zone_ids)
+    )
+    for zone_id, field in zip(layout.zone_ids, system.fields):
+        assert system.field(zone_id) is field
+    # "C" names the two-zone layout's switching line, not one of its zones.
+    for unknown in ("X", "c", *(("C",) if layout is TWO_ZONE else ())):
+        with pytest.raises(LayoutError) as info:
+            system.field(unknown)
+        assert str(info.value) == f"no zone {unknown!r} in this layout"
+
+
 # --- continuity ----------------------------------------------------------------
 
 
@@ -421,7 +436,7 @@ def test_rational_text_parses_as_fraction_does(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["3/0", "0/0", "3/-4", "/4", "3/", "", "nan", "3\n4", "7" * 5000],
+    ["3/0", "0/0", "3/-4", "/4", "3/", "", "nan", "3\n4"],
 )
 def test_bad_rational_text_rejected(text):
     with pytest.raises(SystemFormatError) as info:
@@ -430,10 +445,33 @@ def test_bad_rational_text_rejected(text):
 
 
 def test_overflowing_rational_text_rejected():
-    text = "1" + "0" * 400 + "/3"
-    with pytest.raises(SystemFormatError) as info:
-        coefficient_from_json(text, WHERE)
-    assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
+    # The second text has more digits than the default int digit limit.
+    for text in ("1" + "0" * 400 + "/3", "7" * 5000):
+        with pytest.raises(SystemFormatError) as info:
+            coefficient_from_json(text, WHERE)
+        assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
+
+
+def test_ratio_text_past_the_int_digit_limit_is_rounded_correctly():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    cases = {
+        "7" * 5000 + "/" + "3" * 5000: Fraction(7, 3),
+        "-" + "0" * 6000 + "5/" + "0" * 4500 + "2": Fraction(-5, 2),
+        "1" * 4700 + "/" + "3" * 4701: Fraction(
+            (10 ** 4700 - 1) // 9, (10 ** 4701 - 1) // 3
+        ),
+    }
+    for text, exact in cases.items():
+        assert coefficient_from_json(text, WHERE).hex() == float(exact).hex()
+    # The conversion leaves the process-wide limit as it found it.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # Long text that is not "p" or "p/q" still goes to Fraction, which
+    # refuses it past the limit as before.
+    text = "7" * 5000 + ".5"
+    if limit and limit < len(text):
+        with pytest.raises(SystemFormatError) as info:
+            coefficient_from_json(text, WHERE)
+        assert str(info.value) == f"{WHERE}: bad rational {text!r}"
 
 
 def test_random_ratios_parse_as_fraction_does():
