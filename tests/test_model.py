@@ -435,21 +435,30 @@ def test_rational_text_parses_as_fraction_does(text):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["3/0", "0/0", "3/-4", "/4", "3/", "", "nan", "3\n4"],
+    "text, message",
+    [
+        *(
+            pytest.param(text, f"bad rational {text!r}", id=text)
+            for text in ["3/0", "0/0", "3/-4", "/4", "3/", "", "nan", "3\n4"]
+        ),
+        # More digits than the default int digit limit: the integer is read
+        # and overflows a float.
+        pytest.param(
+            "7" * 5000, f"{'7' * 5000!r} is not a finite number", id="7" * 5000
+        ),
+    ],
 )
-def test_bad_rational_text_rejected(text):
+def test_bad_rational_text_rejected(text, message):
     with pytest.raises(SystemFormatError) as info:
         coefficient_from_json(text, WHERE)
-    assert str(info.value) == f"{WHERE}: bad rational {text!r}"
+    assert str(info.value) == f"{WHERE}: {message}"
 
 
 def test_overflowing_rational_text_rejected():
-    # The second text has more digits than the default int digit limit.
-    for text in ("1" + "0" * 400 + "/3", "7" * 5000):
-        with pytest.raises(SystemFormatError) as info:
-            coefficient_from_json(text, WHERE)
-        assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
+    text = "1" + "0" * 400 + "/3"
+    with pytest.raises(SystemFormatError) as info:
+        coefficient_from_json(text, WHERE)
+    assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
 
 
 def test_ratio_text_past_the_int_digit_limit_is_rounded_correctly():
