@@ -38,16 +38,6 @@ CANVAS_WIDTH = 800
 CANVAS_HEIGHT = 600
 CANVAS_MARGIN = 60.0
 
-ORACLE_AGREEMENT_TOL = 1e-6
-
-# Half-widths of the brackets the oracle tries around the certified y0, in
-# ascending order.  The narrowest is 100 * ORACLE_AGREEMENT_TOL: a fixed point
-# found inside a bracket may still miss y0 by more than the tolerance, so
-# agreement is judged on the measured gap alone.  A bracket with no sign
-# change (y0 off by more than its half-width), or whose orbits slide or never
-# return, gives way to the next wider one.
-ORACLE_BRACKETS = (1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2)
-
 # plot writes here when --output is missing; the other commands print.
 PLOT_OUTPUT = "portrait.svg"
 
@@ -277,26 +267,17 @@ def _cmd_oracle(args: argparse.Namespace, system: PiecewiseSystem) -> int:
         return EXIT_OK
     cert = result.certificate
     y0 = cert.corners[0][1]
-    last_error: Exception | None = None
-    for width in ORACLE_BRACKETS:
-        try:
-            numeric_y0, d_hi = poincare.fixed_point(
-                system, (y0 - width, y0 + width), tol=args.tol
-            )
-            break
-        except poincare.BadBracket:
-            continue
-        except (poincare.SlidingEncountered, poincare.NoReturn) as exc:
-            last_error = exc
-    else:
-        raise ValueError(
-            f"no sign-changing displacement bracket around y = {y0:g}"
-            + (f" (last failure: {last_error})" if last_error else "")
-        )
+    # A certified cycle the oracle cannot bracket is a mismatch, not bad input.
+    try:
+        numeric_y0, d_hi = poincare.fixed_point_near(system, y0, tol=args.tol)
+    except poincare.BadBracket as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     _, return_time = poincare.first_return(system, numeric_y0, tol=args.tol)
     y_gap = abs(numeric_y0 - y0)
     t_gap = abs(return_time - cert.period)
-    agrees = y_gap <= ORACLE_AGREEMENT_TOL and t_gap <= ORACLE_AGREEMENT_TOL
+    agreement_tol = poincare.ORACLE_AGREEMENT_TOL
+    agrees = y_gap <= agreement_tol and t_gap <= agreement_tol
     if args.trajectory_csv:
         trajectory = poincare.integrate_numeric(
             system, cert.corners[0], t_max=cert.period * 1.0001, tol=args.tol
@@ -312,7 +293,7 @@ def _cmd_oracle(args: argparse.Namespace, system: PiecewiseSystem) -> int:
             # The bracket's ends have displacements of opposite sign, so the
             # upper one gives the slope: positive means nearby orbits move away.
             "displacement_slope_sign": 1.0 if d_hi > 0.0 else -1.0,
-            "tolerance": ORACLE_AGREEMENT_TOL,
+            "tolerance": agreement_tol,
             "agrees": agrees,
         },
     )

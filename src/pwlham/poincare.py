@@ -45,6 +45,16 @@ EVENT_WIDTH_TOL = 1e-10
 # The step-size cap divides by the fastest zone modulus, floored at this.
 MODULUS_FLOOR = 1e-6
 
+ORACLE_AGREEMENT_TOL = 1e-6
+
+# Half-widths of the brackets fixed_point_near tries around y, in ascending
+# order.  The narrowest is 100 * ORACLE_AGREEMENT_TOL: a fixed point found
+# inside a bracket may still miss y by more than the tolerance, so agreement
+# is judged on the measured gap alone.  A bracket with no sign change (the
+# fixed point lies beyond it), or whose orbits slide or never return, gives
+# way to the next wider one.
+ORACLE_BRACKETS = (1e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2)
+
 
 class SlidingEncountered(RuntimeError):
     """The orbit reached a switching-line segment it cannot cross."""
@@ -402,6 +412,25 @@ def fixed_point(
             y_hi, d_hi = y, d
             kept = "lo"
     return FixedPoint(0.5 * (y_lo + y_hi), d_upper)
+
+
+def fixed_point_near(
+    system: PiecewiseSystem, y: float, tol: float = DEFAULT_TOL
+) -> FixedPoint:
+    """fixed_point in the narrowest of the ORACLE_BRACKETS around y that gives
+    one; if none does, BadBracket names the last slide or lost orbit."""
+    last_error: Exception | None = None
+    for width in ORACLE_BRACKETS:
+        try:
+            return fixed_point(system, (y - width, y + width), tol=tol)
+        except BadBracket:
+            continue
+        except (SlidingEncountered, NoReturn) as exc:
+            last_error = exc
+    raise BadBracket(
+        f"no sign-changing displacement bracket around y = {y:g}"
+        + (f" (last failure: {last_error})" if last_error else "")
+    )
 
 
 def trajectory_to_csv(trajectory: Trajectory, stream: IO[str]) -> None:

@@ -16,8 +16,6 @@ from pwlham.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     FIXTURE_NAMES,
-    ORACLE_AGREEMENT_TOL,
-    ORACLE_BRACKETS,
     build_parser,
     bundle_examples,
     fixture_text,
@@ -25,6 +23,7 @@ from pwlham.cli import (
 )
 from pwlham.cycle import find_limit_cycle
 from pwlham.model import system_from_json_dict
+from pwlham.poincare import ORACLE_AGREEMENT_TOL, ORACLE_BRACKETS
 
 from conftest import GOLDEN_CORNERS
 
@@ -510,29 +509,48 @@ def test_oracle_brackets_ascend_from_beyond_agreement():
     assert ORACLE_BRACKETS[0] >= 100 * ORACLE_AGREEMENT_TOL
 
 
-@pytest.mark.parametrize("name", ["CCC", "SSC"])
-def test_oracle_widens_and_reports_a_wrong_y0(tmp_path, monkeypatch, name):
-    """A certified y0 off by more than the narrowest bracket: the oracle
-    widens, finds the true fixed point and reports the gap (exit 1)."""
+def _run_oracle_with_shifted_y0(tmp_path, monkeypatch, name, shift):
+    """Run oracle on a fixture whose certified y0 is moved by shift."""
     certify = cycle.certify
 
     def shifted(*args, **kwargs):
         result = certify(*args, **kwargs)
         (x0, y0), *rest = result.certificate.corners
-        cert = result.certificate._replace(corners=((x0, y0 + 3e-4), *rest))
+        cert = result.certificate._replace(corners=((x0, y0 + shift), *rest))
         return result._replace(certificate=cert)
 
     monkeypatch.setattr(cycle, "certify", shifted)
     path = tmp_path / "system.json"
     path.write_text(fixture_text(name), encoding="utf-8")
     out = tmp_path / "oracle.json"
-    code = main(["oracle", "--input", str(path), "--output", str(out)])
+    return main(["oracle", "--input", str(path), "--output", str(out)]), out
+
+
+@pytest.mark.parametrize("name", ["CCC", "SSC"])
+def test_oracle_widens_and_reports_a_wrong_y0(tmp_path, monkeypatch, name):
+    """A certified y0 off by more than the narrowest bracket: the oracle
+    widens, finds the true fixed point and reports the gap (exit 1)."""
+    code, out = _run_oracle_with_shifted_y0(tmp_path, monkeypatch, name, 3e-4)
     assert code == EXIT_VERIFICATION_FAILED
     doc = json.loads(out.read_text())
     assert doc["agrees"] is False
     assert doc["difference"]["y0"] == pytest.approx(3e-4, abs=1e-6)
     assert doc["numeric"]["fixed_point"] == pytest.approx(
         GOLDEN_CORNERS[name][0], abs=ORACLE_AGREEMENT_TOL
+    )
+
+
+@pytest.mark.parametrize("name", ["CCC", "SSC"])
+def test_oracle_unbracketed_y0_is_a_mismatch(tmp_path, monkeypatch, capsys, name):
+    """A certified y0 off by more than the widest bracket: no bracket around
+    it changes sign, which is a verification mismatch (exit 1), not bad
+    input (exit 2)."""
+    code, out = _run_oracle_with_shifted_y0(tmp_path, monkeypatch, name, 0.2)
+    assert code == EXIT_VERIFICATION_FAILED
+    assert not out.exists()
+    y0 = GOLDEN_CORNERS[name][0] + 0.2
+    assert capsys.readouterr().err == (
+        f"error: no sign-changing displacement bracket around y = {y0:g}\n"
     )
 
 

@@ -20,10 +20,14 @@ from pwlham.poincare import (
     DEFAULT_TOL,
     EVENT_TOL,
     FIXED_POINT_Y_TOL,
+    ORACLE_BRACKETS,
     BadBracket,
+    FixedPoint,
     NoReturn,
     SlidingEncountered,
+    Trajectory,
     fixed_point,
+    fixed_point_near,
     first_return,
     integrate_numeric,
     return_map,
@@ -345,6 +349,72 @@ def test_bad_bracket_rejected(ccc):
         fixed_point(ccc, (y0 + 0.05, y0 + 0.1))
     with pytest.raises(BadBracket):
         fixed_point(ccc, (y0 + 0.1, y0 - 0.1))
+
+
+def test_fixed_point_near_takes_the_narrowest_bracket(examples):
+    for name, system in examples.items():
+        y0 = GOLDEN_CORNERS[name][0]
+        got = fixed_point_near(system, y0)
+        want = fixed_point(system, (y0 - 1e-4, y0 + 1e-4))
+        assert [v.hex() for v in got] == [v.hex() for v in want], name
+
+
+def _scripted_fixed_point(monkeypatch, outcomes):
+    """Replace fixed_point by one that returns or raises the next outcome
+    and records each bracket it is given."""
+    brackets = []
+
+    def scripted(system, bracket, tol):
+        brackets.append(bracket)
+        outcome = outcomes[len(brackets) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(poincare, "fixed_point", scripted)
+    return brackets
+
+
+def _brackets_around(y, count):
+    return [(y - width, y + width) for width in ORACLE_BRACKETS[:count]]
+
+
+def test_fixed_point_near_widens_in_order_until_one_succeeds(monkeypatch):
+    found = FixedPoint(0.5, -1e-3)
+    brackets = _scripted_fixed_point(
+        monkeypatch, [BadBracket("no sign change")] * 2 + [found]
+    )
+    assert fixed_point_near(None, 0.5) == found
+    assert brackets == _brackets_around(0.5, 3)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        SlidingEncountered("sliding contact", Trajectory((), ())),
+        NoReturn("no rightward return"),
+    ],
+    ids=["sliding", "no-return"],
+)
+def test_fixed_point_near_passes_over_slides_and_lost_orbits(monkeypatch, failure):
+    found = FixedPoint(0.5, 1e-3)
+    brackets = _scripted_fixed_point(monkeypatch, [failure, found])
+    assert fixed_point_near(None, 0.5) == found
+    assert brackets == _brackets_around(0.5, 2)
+
+    # The widest bracket fails last, after a slide or lost orbit in a
+    # narrower one: the error names that failure.
+    brackets = _scripted_fixed_point(
+        monkeypatch,
+        [failure] + [BadBracket("no sign change")] * (len(ORACLE_BRACKETS) - 1),
+    )
+    with pytest.raises(BadBracket) as excinfo:
+        fixed_point_near(None, 0.5)
+    assert str(excinfo.value) == (
+        f"no sign-changing displacement bracket around y = 0.5 "
+        f"(last failure: {failure})"
+    )
+    assert brackets == _brackets_around(0.5, len(ORACLE_BRACKETS))
 
 
 def test_return_time_matches_cycle_period(ccc):
