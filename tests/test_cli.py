@@ -417,6 +417,37 @@ def test_output_matches_golden_bytes(name, command, tmp_path, capsys):
     )
 
 
+def _assert_matches(actual, expected, where="$"):
+    """Keys, strings and bools equal; floats within 1e-12 relative, since
+    libm may round sin, cos and exp differently in the last bit."""
+    assert type(actual) is type(expected), where
+    if isinstance(expected, float):
+        scale = max(1.0, abs(actual), abs(expected))
+        assert abs(actual - expected) <= 1e-12 * scale, (where, actual, expected)
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key, value in expected.items():
+            _assert_matches(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (got, want) in enumerate(zip(actual, expected)):
+            _assert_matches(got, want, f"{where}[{i}]")
+    else:
+        assert actual == expected, where
+
+
+@pytest.mark.parametrize("command", ["cycle", "oracle"])
+@pytest.mark.parametrize("name", [n.lower() for n in FIXTURE_NAMES])
+def test_output_matches_golden_values(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    assert main([command, "--input", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = json.loads((GOLDEN / f"{name}.{command}.json").read_text("utf-8"))
+    _assert_matches(json.loads(captured.out), expected)
+
+
 def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
     # SCS with a_C moved so the C-arc arrives at x = -1 with an x-velocity
     # of ~1.9e-8: transversal by TANGENCY_TOL, but too flat to bracket.
