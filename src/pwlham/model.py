@@ -363,14 +363,6 @@ def _finite_number(value: object) -> float:
     return number
 
 
-def coefficient_from_json(value: object, where: str) -> float:
-    """Parse a number or an exact rational string "p/q" into a finite float."""
-    try:
-        return _finite_number(value)
-    except SystemFormatError as exc:
-        raise SystemFormatError(f"{where}: {exc}") from exc.__cause__
-
-
 def system_from_json_dict(doc: object) -> PiecewiseSystem:
     if not isinstance(doc, dict):
         raise SystemFormatError("document root must be an object")

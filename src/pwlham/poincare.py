@@ -21,7 +21,7 @@ machinery so that agreement between the two routes is meaningful evidence.
 from __future__ import annotations
 
 import math
-from typing import Callable, IO, NamedTuple, Optional
+from typing import IO, NamedTuple, Optional
 
 from .flow import FlowState, classify_boundary_point, CrossingClassification
 from .model import PiecewiseSystem, Point
@@ -177,13 +177,19 @@ def _crossed_line(lines, x: float, x_next: float) -> Optional[tuple[str, float]]
     return None
 
 
+def _section(system: PiecewiseSystem) -> tuple[str, float, str]:
+    """The return map's section: the right switching line, its abscissa and
+    the outer right zone, which a start or return on it must enter."""
+    line_id, line_x = system.layout.switching_lines[-1]
+    return line_id, line_x, system.layout.zone_ids[-1]
+
+
 def integrate_numeric(
     system: PiecewiseSystem,
     x0: Point,
     t_max: float,
     tol: float = DEFAULT_TOL,
-    stop_event: Optional[Callable[[SwitchEvent], bool]] = None,
-    record_states: bool = True,
+    until_return: bool = False,
 ) -> Trajectory:
     """Integrate the piecewise orbit from x0 for up to t_max time units.
 
@@ -197,12 +203,19 @@ def integrate_numeric(
     SlidingEncountered (with the partial trajectory attached).  A step that
     would end at a state that is not finite ends the run instead, so every
     returned state is finite.
-    ``stop_event`` may end the run at a recorded event, e.g. to realize a
-    return map.
+    With ``until_return`` the run is the return map: x0 lies on the section
+    and must enter the outer right zone, no states are recorded, and the
+    run ends at the first event on the section that enters that zone again.
+    NoReturn is raised for a leftward start, or when t_max passes or the
+    orbit overflows before such an event.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     zone = _initial_zone(system, x0)
+    section, section_x, outer = _section(system)
+    if until_return and zone != outer:
+        raise NoReturn(f"start point {x0} crosses {section} leftward, off the section")
+    record_states = not until_return
     h_base = _base_step(system, tol)
     # Per zone: its field, its strip, the lines bounding the strip (zone i
     # lies between lines i - 1 and i) and its step map at h_base.
@@ -269,8 +282,7 @@ def integrate_numeric(
         p_event: Point = (line_x, _quartic(y_quartic, tau))  # snap onto the line
         t += tau
         cls = classify_boundary_point(system, p_event, line_id)
-        event = SwitchEvent(t, p_event, line_id, cls)
-        events.append(event)
+        events.append(SwitchEvent(t, p_event, line_id, cls))
         if record_states:
             states.append(FlowState(p_event, t, zone))
         if cls.label != "crossing":
@@ -282,9 +294,11 @@ def integrate_numeric(
         minus_zone, plus_zone = layout.zones_beside(line_id)
         zone = plus_zone if cls.derivative_plus > 0.0 else minus_zone
         p = p_event
-        if stop_event is not None and stop_event(event):
-            return Trajectory(tuple(states), tuple(events))
+        if until_return and line_id == section and zone == outer:
+            return Trajectory((), tuple(events))
 
+    if until_return:
+        raise NoReturn(f"no rightward return to x = {section_x:g} within t = {t_max:g}")
     return Trajectory(tuple(states), tuple(events))
 
 
@@ -322,29 +336,13 @@ def first_return(
 ) -> tuple[float, float]:
     """Return ordinate and return time of the orbit started at (1, y).
 
-    The start point must cross rightward into the outer right zone; the
-    orbit is followed through zone handoffs until it crosses the right line
-    moving rightward again.
+    The orbit is followed through zone handoffs until it crosses the right
+    line moving rightward again; NoReturn if it starts leftward or never
+    returns.
     """
-    line_id, line_x = system.layout.switching_lines[-1]
-    start: Point = (line_x, y)
-
-    def is_return(event: SwitchEvent) -> bool:
-        return (
-            event.line == line_id
-            and event.time > 0.0
-            and event.classification.derivative_plus > 0.0
-        )
-
-    events = integrate_numeric(
-        system, start, RETURN_T_MAX, tol, stop_event=is_return, record_states=False
-    ).events
-    # Integration stops at the first return, so only the last event can be one.
-    if events and is_return(events[-1]):
-        return (events[-1].point[1], events[-1].time)
-    raise NoReturn(
-        f"no rightward return to x = {line_x:g} within t = {RETURN_T_MAX:g}"
-    )
+    start: Point = (_section(system)[1], y)
+    trajectory = integrate_numeric(system, start, RETURN_T_MAX, tol, until_return=True)
+    return (trajectory.events[-1].point[1], trajectory.events[-1].time)
 
 
 def return_map(system: PiecewiseSystem, y: float, tol: float = DEFAULT_TOL) -> float:

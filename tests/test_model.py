@@ -19,8 +19,8 @@ from pwlham.model import (
     LinearHamiltonianField,
     PiecewiseSystem,
     SystemFormatError,
+    _finite_number,
     classify_singularity,
-    coefficient_from_json,
     hamiltonian_value,
     is_continuous,
     singular_points_in_zone,
@@ -411,9 +411,6 @@ def test_rational_strings_parse_exactly():
     assert system.fields[0].a == system.fields[1].a == 2.75
 
 
-WHERE = "zone L, field 'a'"
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -431,7 +428,7 @@ WHERE = "zone L, field 'a'"
 )
 def test_rational_text_parses_as_fraction_does(text):
     expected = float(Fraction(text))
-    assert coefficient_from_json(text, WHERE).hex() == expected.hex()
+    assert _finite_number(text).hex() == expected.hex()
 
 
 @pytest.mark.parametrize(
@@ -450,15 +447,15 @@ def test_rational_text_parses_as_fraction_does(text):
 )
 def test_bad_rational_text_rejected(text, message):
     with pytest.raises(SystemFormatError) as info:
-        coefficient_from_json(text, WHERE)
-    assert str(info.value) == f"{WHERE}: {message}"
+        _finite_number(text)
+    assert str(info.value) == message
 
 
 def test_overflowing_rational_text_rejected():
     text = "1" + "0" * 400 + "/3"
     with pytest.raises(SystemFormatError) as info:
-        coefficient_from_json(text, WHERE)
-    assert str(info.value) == f"{WHERE}: {text!r} is not a finite number"
+        _finite_number(text)
+    assert str(info.value) == f"{text!r} is not a finite number"
 
 
 def test_ratio_text_past_the_int_digit_limit_is_rounded_correctly():
@@ -471,7 +468,7 @@ def test_ratio_text_past_the_int_digit_limit_is_rounded_correctly():
         ),
     }
     for text, exact in cases.items():
-        assert coefficient_from_json(text, WHERE).hex() == float(exact).hex()
+        assert _finite_number(text).hex() == float(exact).hex()
     # The conversion leaves the process-wide limit as it found it.
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     # Long text that is not "p" or "p/q" still goes to Fraction, which
@@ -479,8 +476,8 @@ def test_ratio_text_past_the_int_digit_limit_is_rounded_correctly():
     text = "7" * 5000 + ".5"
     if limit and limit < len(text):
         with pytest.raises(SystemFormatError) as info:
-            coefficient_from_json(text, WHERE)
-        assert str(info.value) == f"{WHERE}: bad rational {text!r}"
+            _finite_number(text)
+        assert str(info.value) == f"bad rational {text!r}"
 
 
 def test_random_ratios_parse_as_fraction_does():
@@ -488,7 +485,7 @@ def test_random_ratios_parse_as_fraction_does():
     for _ in range(2000):
         p = rng.randint(-(10 ** 30), 10 ** 30)
         q = rng.randint(1, 10 ** 40)
-        parsed = coefficient_from_json(f"{p}/{q}", WHERE)
+        parsed = _finite_number(f"{p}/{q}")
         assert parsed.hex() == float(Fraction(p, q)).hex(), (p, q)
 
 

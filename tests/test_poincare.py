@@ -114,6 +114,14 @@ def test_one_orbit_takes_pinned_work(examples, monkeypatch, name):
     assert len(checked) == events
 
 
+@pytest.mark.parametrize("name", sorted(ORBIT_WORK))
+def test_leftward_start_is_off_the_section(examples, name):
+    # (1, -3) crosses the right line into the centre zone on every fixture,
+    # so it is not in the return map's domain.
+    with pytest.raises(NoReturn, match="crosses R leftward, off the section"):
+        first_return(examples[name], -3.0)
+
+
 def _rk4_step(field, p: Point, h: float) -> Point:
     """Reference: the classical RK4 step in stage form."""
     a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta

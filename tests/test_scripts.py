@@ -1,4 +1,4 @@
-"""The bundled scripts' printed reports."""
+"""The survey script's printed report and the bytes of plotted portraits."""
 
 from __future__ import annotations
 
@@ -48,15 +48,12 @@ SAMPLE_ORBIT_SHA256 = {
 }
 
 
-def test_render_portraits_bytes(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["render_portraits.py"])
-    runpy.run_path(str(ROOT / "scripts" / "render_portraits.py"), run_name="__main__")
-    assert capsys.readouterr().out == "".join(
-        f"{name.upper()}: wrote portraits/{name}.svg\n" for name in PORTRAIT_SHA256
-    )
-    for name, digest in PORTRAIT_SHA256.items():
-        assert _sha256(tmp_path / "portraits" / f"{name}.svg") == digest, name
+@pytest.mark.parametrize("name", list(PORTRAIT_SHA256))
+def test_plot_portrait_bytes(name, tmp_path):
+    svg = tmp_path / f"{name}.svg"
+    source = ROOT / "src" / "pwlham" / "fixtures" / f"{name}.json"
+    assert main(["plot", "--input", str(source), "--output", str(svg)]) == EXIT_OK
+    assert _sha256(svg) == PORTRAIT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_ORBIT_SHA256))
