@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Literal, NamedTuple
 
-from .closure import quadratic_roots
 from .model import (
     LinearHamiltonianField,
     PiecewiseSystem,
@@ -54,6 +53,15 @@ ZERO_PHASE_TOL = 1e-12
 # A saddle root w = exp(l t) counts as a positive time only above
 # 1 + SADDLE_START_TOL; nearer 1 it is the start itself.
 SADDLE_START_TOL = 1e-13
+
+# Negative discriminants above -CLAMP_TOL * scale are clamped to zero: a
+# tangency counts as a double root, which the arrival-velocity test of the
+# saddle flight time then rejects.
+CLAMP_TOL = 1e-12
+
+# Two roots r1, r2 with |r1 - r2| <= ROOT_MERGE_TOL * (1 + |r1| + |r2|) are
+# one double root.
+ROOT_MERGE_TOL = 1e-12
 
 
 class NeverReaches(ValueError):
@@ -227,7 +235,7 @@ def _saddle_flight_time(
         # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
         roots = [] if u + v == 0.0 else [(u - v) / (u + v)]
     else:
-        roots = quadratic_roots(u + v, -2.0 * d, u - v) or []
+        roots = quadratic_roots(u + v, -2.0 * d, u - v)
 
     times = sorted(math.log(w) / lam for w in roots if w > 1.0 + SADDLE_START_TOL)
     if not times:
@@ -241,6 +249,32 @@ def _saddle_flight_time(
     raise NeverReaches(
         f"no arrival at x = {s1:g} with the required crossing direction"
     )
+
+
+def quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
+    """Real roots of qa w^2 + qb w + qc, with tangency clamping.
+
+    A slightly negative discriminant counts as a double root.  A quadratic
+    that vanishes identically has no isolated root: [].
+    """
+    scale = max(abs(qa), abs(qb), abs(qc))
+    if scale <= CLAMP_TOL:
+        return []
+    if abs(qa) <= CLAMP_TOL * scale:
+        return [] if abs(qb) <= CLAMP_TOL * scale else [-qc / qb]
+    disc = qb * qb - 4.0 * qa * qc
+    disc_scale = qb * qb + abs(4.0 * qa * qc)
+    if disc < -CLAMP_TOL * disc_scale:
+        return []
+    disc = max(disc, 0.0)  # tangency: double root
+    sq = math.sqrt(disc)
+    q = -0.5 * (qb + math.copysign(sq, qb)) if qb != 0.0 else -0.5 * sq
+    if q == 0.0:
+        return [0.0]
+    r1, r2 = q / qa, qc / q
+    if abs(r1 - r2) <= ROOT_MERGE_TOL * (1.0 + abs(r1) + abs(r2)):
+        return [r1]
+    return [r1, r2]
 
 
 def flight_time(

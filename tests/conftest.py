@@ -9,6 +9,7 @@ import random
 import pytest
 
 from pwlham.cli import bundle_examples
+from pwlham.closure import _sums_and_gaps, residuals_three_zone
 from pwlham.model import LinearHamiltonianField, PiecewiseSystem
 
 # Exact corner ordinates (y0, y1, y2, y3) of the six bundled systems,
@@ -181,3 +182,35 @@ def continuum_parameter(system: PiecewiseSystem, rng: random.Random) -> float:
     threshold = math.sqrt(threshold_sq) if threshold_sq > 0.0 else 0.0
     u = rng.choice((-1.0, 1.0)) * (threshold + rng.uniform(1e-3, 5.0))
     return (u - a - alpha) / b
+
+
+# --- the closure equations in corner sums and gaps ------------------------------
+
+
+def gap_line_solutions(system: PiecewiseSystem):
+    """Every real corner tuple with the outer sums on the line P d = Q e.
+
+    Along the line the upper C-arc residual of residuals_three_zone is a
+    quadratic in d; it is sampled at d = -1, 0, 1 and solved.  None when Q
+    or that quadratic vanishes (the line is lost or lies on the conic).
+    """
+    s_r, s_l, p, q, _ = _sums_and_gaps(system)
+    if abs(q) <= 1e-9 * (1.0 + abs(p)):
+        return None
+
+    def corners(d: float) -> tuple[float, float, float, float]:
+        e = p * d / q
+        return (0.5 * (s_r + d), 0.5 * (s_r - d), 0.5 * (s_l - e), 0.5 * (s_l + e))
+
+    def upper(d: float) -> float:
+        return residuals_three_zone(system, *corners(d))[1]
+
+    c0, plus, minus = upper(0.0), upper(1.0), upper(-1.0)
+    c2, c1 = 0.5 * (plus + minus) - c0, 0.5 * (plus - minus)
+    if abs(c2) <= 1e-9 * (abs(c0) + abs(c1) + abs(c2)):
+        return None
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    root = math.sqrt(disc)
+    return [corners((-c1 + sign * root) / (2.0 * c2)) for sign in (1.0, -1.0)]

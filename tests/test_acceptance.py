@@ -18,7 +18,6 @@ from pwlham.closure import (
     Continuum,
     DISPATCH_TOL,
     UniqueCycleCandidate,
-    conic_solutions,
     residuals_three_zone,
     solve_three_zone,
     solve_two_zone,
@@ -48,6 +47,7 @@ from conftest import (
     random_continuous_three_zone,
     random_continuous_two_zone,
     random_field,
+    gap_line_solutions,
     random_three_zone,
     random_two_zone,
     continuum_parameter,
@@ -178,6 +178,7 @@ def test_criterion_5_nonexistence_property_suites():
 def test_criterion_6_at_most_one_and_swap_symmetry():
     rng = random.Random(4096)
     algebraic_solutions = 0
+    lost_lines = 0
     for _ in range(10_000):
         system = random_three_zone(rng)
         if is_continuous(system)[0]:
@@ -188,9 +189,11 @@ def test_criterion_6_at_most_one_and_swap_symmetry():
         generic = min(abs(lf.b), abs(cf.b), abs(rf.b)) > tol_scale
         if not generic:
             continue
-        corners = conic_solutions(lf, cf, rf)
+        # Every real solution with the outer sums on the line P d = Q e,
+        # found from residuals_three_zone without the solver.
+        corners = gap_line_solutions(system)
         if corners is None:
-            assert isinstance(outcome, Continuum)
+            lost_lines += 1
             continue
         ordered = 0
         for y0, y1, y2, y3 in corners:
@@ -203,8 +206,9 @@ def test_criterion_6_at_most_one_and_swap_symmetry():
             if y1 < y0 and y2 < y3:
                 ordered += 1
         assert ordered <= 1
-        if ordered == 1:
-            assert isinstance(outcome, UniqueCycleCandidate)
+        assert isinstance(outcome, UniqueCycleCandidate) == (ordered == 1)
+    # No system escapes the check by losing the line or its quadratic.
+    assert lost_lines == 0
     assert algebraic_solutions > 5000
     _report(6, "10000 random discontinuous systems: never two ordered "
                f"solutions; swap symmetry held at {algebraic_solutions} "

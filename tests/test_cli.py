@@ -400,7 +400,8 @@ def test_two_zone_input_supported(tmp_path):
 @pytest.mark.parametrize("command", ["classify", "solve"])
 @pytest.mark.parametrize(
     "name",
-    [n.lower() for n in FIXTURE_NAMES] + ["continuous", "two_zone", "scs_grazing"],
+    [n.lower() for n in FIXTURE_NAMES]
+    + ["continuous", "two_zone", "scs_grazing", "opposite_gaps", "opposite_gaps_b_c_zero"],
 )
 def test_output_matches_golden_bytes(name, command, tmp_path, capsys):
     # Only +, -, *, / and sqrt reach these outputs, so the bytes are the same

@@ -1,20 +1,23 @@
-"""Closure residuals, eliminations, conic reduction and the case analysis."""
+"""Closure residuals, corner sums and gaps, and the case analysis."""
 
 from __future__ import annotations
 
+import json
 import random
 import runpy
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pwlham import closure, model
+from pwlham.cli import FIXTURE_NAMES, fixture_text
 from pwlham.closure import (
     Continuum,
     NoSolution,
     UniqueCycleCandidate,
-    conic_solutions,
     residuals_three_zone,
     residuals_two_zone,
     solve,
@@ -31,6 +34,7 @@ from pwlham.model import (
 from conftest import (
     GOLDEN_CORNERS,
     continuum_parameter,
+    gap_line_solutions,
     random_continuous_three_zone,
     random_generic_three_zone,
     random_three_zone,
@@ -38,6 +42,7 @@ from conftest import (
 )
 
 F = LinearHamiltonianField
+GOLDEN = Path(__file__).parent / "golden"
 ordinate = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
@@ -122,39 +127,64 @@ def test_swap_symmetry_of_residuals(y0, y1, y2, y3, seed):
     assert abs(s[3] + r[1]) <= 1e-12 * scale
 
 
-# --- corner tuples of the reduced conics ----------------------------------------
+# --- corner sums and gaps -------------------------------------------------------
+
+
+def _swap(corners):
+    y0, y1, y2, y3 = corners
+    return (y1, y0, y3, y2)
+
+
+def test_sums_and_gaps_identities():
+    """The sum and the difference of the two C-arc residuals are P d - Q e
+    and b_C (d^2 - e^2) / 4 - W at any gaps once the outer sums hold."""
+    rng = random.Random(23)
+    for _ in range(200):
+        system = random_generic_three_zone(rng)
+        s_r, s_l, p, q, w = closure._sums_and_gaps(system)
+        b_c = system.fields[1].b
+        for _ in range(5):
+            d, e = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+            r = residuals_three_zone(
+                system, 0.5 * (s_r + d), 0.5 * (s_r - d),
+                0.5 * (s_l - e), 0.5 * (s_l + e),
+            )
+            scale = 1.0 + max(map(abs, (s_r, s_l, p, q, w, d, e))) ** 2
+            assert abs(r[0]) <= 1e-12 * scale and abs(r[2]) <= 1e-12 * scale
+            assert abs(r[1] + r[3] - (p * d - q * e)) <= 1e-12 * scale
+            assert abs(r[1] - r[3] - (0.25 * b_c * (d * d - e * e) - w)) <= (
+                1e-12 * scale
+            )
 
 
 def test_outer_corners_pure_reflection():
     # a_R + alpha_R = 0 pins the R-arc corners to y0 = -y1.
     system = PiecewiseSystem.three_zone(
-        F(0.0, 1.0, -1.0, 0.5, 0.0), F(0.0, 2.0, -2.0, 0.0, 0.0), F(0.5, 1.0, -1.0, -0.5, 0.0)
+        F(0.0, 1.0, -1.0, 0.5, 0.0), F(-1.0, 2.0, -2.0, -0.5, -1.0), F(0.5, 1.0, -1.0, -0.5, 0.0)
     )
-    corners = conic_solutions(*system.fields)
-    assert len(corners) == 2
-    for y0, y1, _, _ in corners:
-        assert y0 == pytest.approx(-y1, abs=1e-15)
+    out = solve_three_zone(system)
+    assert isinstance(out, UniqueCycleCandidate)
+    assert out == (0.5, -0.5, -2.0, 1.0)
 
 
 def test_outer_corners_golden(examples):
-    corners = conic_solutions(*examples["CCC"].fields)
-    assert len(corners) == 2
-    for y0, y1, _, _ in corners:
-        assert y0 == pytest.approx(-y1, abs=1e-12)
-    corners = conic_solutions(*examples["CSC"].fields)
-    assert len(corners) == 2
-    for _, _, y2, y3 in corners:
-        assert y2 == pytest.approx(-y3 + 0.5, abs=1e-12)
+    out = solve_three_zone(examples["CCC"])
+    assert out.y0 == pytest.approx(-out.y1, abs=1e-12)
+    out = solve_three_zone(examples["CSC"])
+    assert out.y2 == pytest.approx(-out.y3 + 0.5, abs=1e-12)
 
 
 def test_conics_reproduce_eliminated_residuals():
-    """Every corner tuple of the reduced conics zeroes all four matching
-    equations, on random generic systems."""
+    """Every candidate and its corner swap zero all four matching equations,
+    on random generic systems."""
     rng = random.Random(29)
     tuples = 0
-    for _ in range(20):
+    for _ in range(40):
         system = random_generic_three_zone(rng)
-        for corners in conic_solutions(*system.fields) or ():
+        out = solve_three_zone(system)
+        if not isinstance(out, UniqueCycleCandidate):
+            continue
+        for corners in (out, _swap(out)):
             assert max(map(abs, residuals_three_zone(system, *corners))) <= 1e-9
             tuples += 1
     assert tuples >= 10
@@ -162,10 +192,50 @@ def test_conics_reproduce_eliminated_residuals():
 
 def test_conics_reproduce_eliminated_residuals_golden(examples):
     for name, system in examples.items():
-        corners = conic_solutions(*system.fields)
-        assert len(corners) == 2, name
-        for tuple_ in corners:
-            assert max(map(abs, residuals_three_zone(system, *tuple_))) <= 1e-9, name
+        out = solve_three_zone(system)
+        for corners in (out, _swap(out)):
+            assert max(map(abs, residuals_three_zone(system, *corners))) <= 1e-9, name
+
+
+def _exact_corners(zones: list[dict]) -> list[Decimal]:
+    """Corners from exact coefficients: rational sums, P, Q, W and d^2, then
+    a 50-digit square root."""
+    lf, cf, rf = ({k: Fraction(v) for k, v in zone.items()} for zone in zones)
+    s_r = -2 * (rf["a"] + rf["alpha"]) / rf["b"]
+    s_l = 2 * (lf["a"] - lf["alpha"]) / lf["b"]
+    p = cf["b"] * s_r / 2 + cf["a"] + cf["alpha"]
+    q = cf["b"] * s_l / 2 + cf["alpha"] - cf["a"]
+    w = (
+        4 * cf["beta"] - cf["alpha"] * (s_r - s_l) - cf["a"] * (s_r + s_l)
+        - cf["b"] * (s_r * s_r - s_l * s_l) / 4
+    )
+    d_squared = 4 * w * q * q / (cf["b"] * (q * q - p * p))
+    assert p * q > 0 and d_squared > 0
+
+    def decimal(x: Fraction) -> Decimal:
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal(d_squared).sqrt()
+        e = d * decimal(p / q)
+        return [(decimal(s_r) + d) / 2, (decimal(s_r) - d) / 2,
+                (decimal(s_l) - e) / 2, (decimal(s_l) + e) / 2]
+
+
+@pytest.mark.parametrize(
+    "name", [n.lower() for n in FIXTURE_NAMES] + ["scs_grazing"]
+)
+def test_corners_match_exact_values(name):
+    if name == "scs_grazing":
+        text = (GOLDEN / "scs_grazing.input.json").read_text(encoding="utf-8")
+    else:
+        text = fixture_text(name)
+    doc = json.loads(text)
+    out = solve_three_zone(model.system_from_json_dict(doc))
+    assert isinstance(out, UniqueCycleCandidate)
+    for got, want in zip(out, _exact_corners(doc["zones"])):
+        assert abs(Decimal(got) - want) <= Decimal(1e-14) * max(1, abs(want))
 
 
 # --- three-zone solve -----------------------------------------------------------
@@ -225,31 +295,43 @@ def test_solve_three_zone_vanishing_outer_equations_continuum():
 
 
 def test_solve_three_zone_mixed_combination_branch():
-    # b_C = 0, b_L b_R != 0: the mixed combination decides.
+    # b_C = 0, b_L b_R != 0: the mixed combination b_L b_R W / 2 and the
+    # signs of P = a_C + alpha_C and Q = alpha_C - a_C decide.
     lf = F(0.5, 1.0, 0.3, 1.1, 0.4)
     cf = F(1.0, 0.0, 0.8, 0.6, 0.0)
     rf = F(-0.2, 1.5, 0.9, 0.7, 0.3)
-    mixed = (
-        rf.b * cf.alpha * (lf.a - lf.alpha)
-        + cf.a * rf.b * (lf.alpha - lf.a)
-        + lf.b * (rf.a + rf.alpha) * (cf.a + cf.alpha)
-        + 2.0 * lf.b * rf.b * cf.beta
-    )
-    assert mixed != 0.0
+
+    def mixed(cf):
+        return (
+            rf.b * cf.alpha * (lf.a - lf.alpha)
+            + cf.a * rf.b * (lf.alpha - lf.a)
+            + lf.b * (rf.a + rf.alpha) * (cf.a + cf.alpha)
+            + 2.0 * lf.b * rf.b * cf.beta
+        )
+
+    def null_mixed(cf):
+        return F(cf.a, cf.b, cf.c, cf.alpha, cf.beta - mixed(cf) / (2.0 * lf.b * rf.b))
+
+    assert mixed(cf) != 0.0
     assert isinstance(solve_three_zone(PiecewiseSystem.three_zone(lf, cf, rf)), NoSolution)
 
-    # Choose beta_C to null the mixed combination: infinitely many solutions.
-    beta_c = -(
-        rf.b * cf.alpha * (lf.a - lf.alpha)
-        + cf.a * rf.b * (lf.alpha - lf.a)
-        + lf.b * (rf.a + rf.alpha) * (cf.a + cf.alpha)
-    ) / (2.0 * lf.b * rf.b)
-    cf2 = F(cf.a, cf.b, cf.c, cf.alpha, beta_c)
-    assert isinstance(solve_three_zone(PiecewiseSystem.three_zone(lf, cf2, rf)), Continuum)
+    # Nulling the mixed combination leaves P = 1.6 and Q = -0.4: every
+    # solution has e = -4 d, so none is ordered.
+    cf2 = null_mixed(cf)
+    assert mixed(cf2) == pytest.approx(0.0, abs=1e-15)
+    out = solve_three_zone(PiecewiseSystem.three_zone(lf, cf2, rf))
+    assert isinstance(out, NoSolution)
+    assert "orderings" in out.reason
+
+    # With P = 1.3 and Q = 0.9 every pair d = 0.9 t, e = 1.3 t (t > 0)
+    # closes: a continuum.
+    cf3 = null_mixed(F(0.2, 0.0, 0.8, 1.1, 0.0))
+    assert mixed(cf3) == pytest.approx(0.0, abs=1e-15)
+    assert isinstance(solve_three_zone(PiecewiseSystem.three_zone(lf, cf3, rf)), Continuum)
 
 
 def test_solve_three_zone_coincident_conics_continuum():
-    # Symmetric centers: A = D = B = E = 0 forces the continuum branch.
+    # Zero outer sums and a_C = alpha_C = 0 give P = Q = 0: a continuum.
     system = PiecewiseSystem.three_zone(
         F(0.0, 1.0, -1.0, 0.0, 0.0),
         F(0.0, 2.0, -2.0, 0.0, 0.0),
@@ -259,29 +341,54 @@ def test_solve_three_zone_coincident_conics_continuum():
     assert isinstance(out, Continuum)
 
 
+def test_gap_below_half_an_ulp_is_not_a_candidate():
+    # Q = 3e-10 sits just above its dispatch bound, 2e-10, while P is about
+    # 5e4.  The exact gap d = 2 |Q| sqrt(W / (b_C (Q^2 - P^2))) is positive
+    # but about 3.8e-13, under half an ulp of s_R = -1e5, so in floats
+    # y0 == y1: there is no ordered corner tuple to return.
+    system = PiecewiseSystem.three_zone(
+        F(0.0, 1.0, -1.0, 0.0, 0.0),
+        F(1.0 - 3e-10, -1.0, 1.0, 1.0, -625049750.0),
+        F(5e4, 1.0, 0.0, 0.0, 0.0),
+    )
+    s_r, _, p, q, w = map(Fraction, closure._sums_and_gaps(system))
+    d_squared = 4 * w * q * q / (-(q * q - p * p))
+    assert 0 < d_squared < Fraction(1e-24)
+    assert float(s_r) + 3.8e-13 == float(s_r)
+    out = solve_three_zone(system)
+    assert isinstance(out, NoSolution)
+    assert "orderings" in out.reason
+
+
 def test_conic_solutions_are_swap_partners(examples):
-    """The two intersection points map to a solution and its corner swap."""
-    corners = conic_solutions(*examples["CCC"].fields)
-    assert corners is not None and len(corners) == 2
-    a, b = corners
-    assert a[0] == pytest.approx(b[1], abs=1e-9)
-    assert a[1] == pytest.approx(b[0], abs=1e-9)
-    assert a[2] == pytest.approx(b[3], abs=1e-9)
-    assert a[3] == pytest.approx(b[2], abs=1e-9)
+    """The C-arc equations have two solutions, the candidate and its corner
+    swap; the swap reverses both orderings."""
+    out = solve_three_zone(examples["CCC"])
+    swapped = _swap(out)
+    assert max(map(abs, residuals_three_zone(examples["CCC"], *swapped))) <= 1e-9
+    assert swapped[0] < swapped[1] and swapped[3] < swapped[2]
+    solutions = gap_line_solutions(examples["CCC"])
+    assert len(solutions) == 2
+    for got, want in zip(sorted(solutions), sorted((tuple(out), swapped))):
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_at_most_one_admissible_intersection():
+    """Solved along the line P d = Q e from residuals_three_zone alone, at
+    most one real solution is ordered, and solve_three_zone returns it."""
     rng = random.Random(43)
     for _ in range(300):
         system = random_generic_three_zone(rng)
-        corners = conic_solutions(*system.fields)
-        if corners is None:
+        solutions = gap_line_solutions(system)
+        if solutions is None:
             continue
-        admissible = [c for c in corners if c[1] < c[0] and c[2] < c[3]]
+        admissible = [c for c in solutions if c[1] < c[0] and c[2] < c[3]]
         assert len(admissible) <= 1
         out = solve_three_zone(system)
         if admissible:
             assert isinstance(out, UniqueCycleCandidate)
+            for got, want in zip(out, admissible[0]):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         else:
             assert isinstance(out, NoSolution)
 
