@@ -9,6 +9,14 @@ length; if it crosses a switching line, the crossing time is localized by
 safeguarded Newton on that quartic minus the line's abscissa, inside the
 step.  The orbit is handed to the adjacent zone only when the contact
 classifies as a crossing.
+The return map records no states, so inside a strip it jumps each run of
+whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
+Since M^2 = D I for the zone's linear part M, every power of I + E is a
+combination of I and M, taken by repeated squaring with IEEE + and * from E
+and e alone; it is a power of the RK4 step, not the closed-form flow.  Only
+the run's length is chosen with logarithms and trigonometry, as the most
+steps that provably keep the abscissa inside the strip, so single steps
+still meet every exit, event, contact and budget end.
 The first return to the right line with rightward motion defines the return
 map on that line, and Anderson-Bjorck false position on a sign-changing
 bracket of the displacement return_map(y) - y locates its fixed points, i.e.
@@ -23,7 +31,12 @@ from __future__ import annotations
 import math
 from typing import IO, NamedTuple, Optional
 
-from .flow import FlowState, classify_boundary_point, CrossingClassification
+from .flow import (
+    CrossingClassification,
+    FlowState,
+    classify_boundary_point,
+    quadratic_roots,
+)
 from .model import PiecewiseSystem, Point
 
 DEFAULT_TOL = 1e-9
@@ -44,6 +57,21 @@ EVENT_WIDTH_TOL = 1e-10
 
 # The step-size cap divides by the fastest zone modulus, floored at this.
 MODULUS_FLOOR = 1e-6
+
+# A run of whole steps is jumped only where each of its abscissae provably
+# stays RUN_MARGIN * (1 + |c_x| + the orbit's size about c) inside the strip,
+# c being the step map's fixed point; this covers the rounding of the jump
+# and of the bounds that certify it.
+RUN_MARGIN = 1e-9
+
+# The return map takes this many whole steps one by one after a zone entry and
+# after each jump, before it seeks the next run: a state on a line, or one
+# step short of where the abscissa may leave, admits no certified run.
+SINGLE_STEPS = 2
+
+# A saddle zone's run of k steps keeps lam_up^k <= exp(RUN_GROWTH_MAX), so the
+# powers that jump it stay finite.
+RUN_GROWTH_MAX = 600.0
 
 ORACLE_AGREEMENT_TOL = 1e-6
 
@@ -122,6 +150,12 @@ def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
     raise ValueError(f"point {p} belongs to no zone")
 
 
+def _step_series(d: float, h: float) -> tuple[float, float]:
+    """r and q of the RK4 step of length h on a field with M^2 = d I."""
+    h2 = h * h
+    return h * (1.0 + h2 * d / 6.0), h2 * (0.5 + h2 * d / 24.0)
+
+
 def _step_map(field, h: float) -> tuple[float, ...]:
     """The RK4 step of length h as p -> p + E p + e, returned as E and e.
 
@@ -132,13 +166,140 @@ def _step_map(field, h: float) -> tuple[float, ...]:
     """
     a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
     d = field.linear_determinant()
-    h2 = h * h
-    r = h * (1.0 + h2 * d / 6.0)
-    q = h2 * (0.5 + h2 * d / 24.0)
+    r, q = _step_series(d, h)
     return (
         d * q + r * a, r * b, r * c, d * q - r * a,
         r * alpha + q * (a * alpha + b * beta),
         r * beta + q * (c * alpha - a * beta),
+    )
+
+
+def _step_power(field, h: float, step: tuple[float, ...]) -> tuple:
+    """Constants of the powers of one zone's step map, for _run_length and _jump.
+
+    With E = p1 I + r M (p1 = D q), every power is (I + E)^j = (1 + p_j) I
+    + q_j M, and the step map's fixed point c solves E c = -e.  About c, the
+    abscissa after j steps is R rho^j cos(j theta - phi) in a centre zone
+    (D < 0), where 1 + p1 + i r omega = rho e^(i theta), and A lam_up^j +
+    B lam_down^j in a saddle zone (D > 0), where lam = 1 + p1 +- r sigma.
+    These shapes only choose how many steps to jump; _jump itself uses E
+    and e alone.
+    """
+    a, b, c = field.a, field.b, field.c
+    d = field.linear_determinant()
+    r, q = _step_series(d, h)
+    p1 = d * q
+    ex, ey = step[4], step[5]
+    det = p1 * p1 - r * r * d  # E (p1 I - r M) = det I
+    cx = (r * (a * ex + b * ey) - p1 * ex) / det
+    cy = (r * (c * ex - a * ey) - p1 * ey) / det
+    if d < 0.0:
+        speed = math.sqrt(-d)
+        theta = math.atan2(r * speed, 1.0 + p1)
+        turn = math.ceil(math.tau / theta)
+        rho_turn = math.hypot(1.0 + p1, r * speed) ** turn
+        shape = (theta, turn, min(rho_turn, 1.0), max(rho_turn, 1.0))
+    else:
+        # h sigma <= 0.2 (_base_step), so 0 < lam_down < 1 < lam_up.
+        speed = math.sqrt(d)
+        shape = (math.log1p(p1 + r * speed), math.log1p(p1 - r * speed))
+    return (a, b, c, d, p1, r, cx, cy, speed, shape)
+
+
+def _run_length(power: tuple, lo: float, hi: float, x: float, y: float, cap: int) -> int:
+    """The most whole steps, up to cap, that provably keep the abscissa
+    RUN_MARGIN inside (lo, hi) from (x, y); 0 when there is no such run."""
+    a, b, _, d, _, _, cx, cy, speed, shape = power
+    ux = x - cx
+    v = (a * ux + b * (y - cy)) / speed
+    margin = RUN_MARGIN * (1.0 + abs(ux) + abs(v) + abs(cx))
+    x_lo, x_hi = lo - cx + margin, hi - cx - margin
+    if not x_lo < x_hi:
+        return 0
+    return (_centre_run if d < 0.0 else _saddle_run)(shape, x_lo, x_hi, ux, v, cap)
+
+
+def _centre_run(shape, x_lo, x_hi, ux, v, cap):
+    """_run_length about a centre, with the shrunk strip taken about c_x:
+    x_j - c_x = R rho^j cos(j theta - phi), R cos(phi) = ux, R sin(phi) = v."""
+    theta, turn, rho_lo, rho_hi = shape
+    radius = math.hypot(ux, v)
+    if not radius > 0.0:
+        return 0
+    phi = math.atan2(v, ux)
+    k = min(cap, turn)
+    # Within one turn rho^j lies in [rho_lo, rho_hi], so step j can pass a
+    # shrunk line only in a phase window cos(j theta - phi - mid) >= g.  The
+    # run stops one step before the first step inside either window.
+    for mid, reach in ((0.0, x_hi), (math.pi, -x_lo)):
+        g = reach / (radius * (rho_hi if reach > 0.0 else rho_lo))
+        if g > 1.0:
+            continue
+        if g <= -1.0:
+            return 0
+        half = math.acos(g)
+        first = (theta - phi - mid + half) % math.tau  # step 1, from the window's start
+        if first <= 2.0 * half:
+            return 0
+        k = min(k, math.ceil((math.tau - first) / theta))
+    return k
+
+
+def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
+    """_run_length about a saddle, with the shrunk strip taken about c_x:
+    x_j - c_x = A lam_up^j + B lam_down^j, A = (ux + v)/2, B = (ux - v)/2."""
+    log_up, log_down = shape
+    if not x_lo < ux < x_hi:
+        return 0
+    up, down = 0.5 * (ux + v), 0.5 * (ux - v)
+
+    def inside(s: float) -> bool:
+        return x_lo < up * math.exp(s * log_up) + down * math.exp(s * log_down) < x_hi
+
+    k = min(cap, int(RUN_GROWTH_MAX / log_up))
+    # First crossing of a shrunk line, estimated from A w + B / w = X with
+    # w = lam_up^s, since lam_up lam_down = 1 + O((h sigma)^6).
+    for reach in (x_lo, x_hi):
+        if math.isfinite(reach):
+            for w in quadratic_roots(up, -reach, down):
+                if 1.0 < w < math.inf:
+                    k = min(k, math.floor(math.log(w) / log_up) - 1)
+    # A w + B w^(log_down/log_up) has at most one extremum over s > 0, so a
+    # run whose start, end and extremum are inside stays inside.
+    extremum = 0.0
+    if up * down > 0.0:
+        extremum = math.log(-down * log_down / (up * log_up)) / (log_up - log_down)
+    while k > 0 and not (inside(k) and (not 0.0 < extremum < k or inside(extremum))):
+        k //= 2
+    return max(k, 0)
+
+
+def _jump(power: tuple, step: tuple[float, ...], k: int, x: float, y: float) -> Point:
+    """The state k whole steps on from (x, y), by IEEE + and * only.
+
+    The increments of successive steps are (I + E)^j (E p + e), so the jump
+    adds S (E p + e) with S = sum over j < k of (I + E)^j = s I + t M.  S
+    and P = (I + E)^m - I = p I + q M are built from m = 1 by doubling,
+    S <- S (2 I + P), and by one more step, S <- S + I + P; P composes by
+    (p, q) o (p', q') = (p + p' + p p' + D q q', q + q' + p q' + q p').
+    Since P = S E, this adds P (p - c) for the step map's fixed point c
+    without forming p - c, which loses digits when c lies far away.
+    """
+    a, b, c, d, p1, r = power[:6]
+    e00, e01, e10, e11, ex, ey = step
+    dx = e00 * x + e01 * y + ex
+    dy = e10 * x + e11 * y + ey
+    p, q, s, t = p1, r, 1.0, 0.0
+    for bit in bin(k)[3:]:
+        u = 2.0 + p
+        s, t = s * u + d * t * q, s * q + t * u
+        p, q = p * u + d * q * q, q * (u + p)
+        if bit == "1":
+            s, t = s + 1.0 + p, t + q
+            p, q = p + p1 + p * p1 + d * q * r, q + r + p * r + q * p1
+    return (
+        x + (s * dx + t * (a * dx + b * dy)),
+        y + (s * dy + t * (c * dx - a * dy)),
     )
 
 
@@ -206,6 +367,9 @@ def integrate_numeric(
     With ``until_return`` the run is the return map: x0 lies on the section
     and must enter the outer right zone, no states are recorded, and the
     run ends at the first event on the section that enters that zone again.
+    Its whole steps are jumped in runs that provably stay inside the strip
+    (_run_length, _jump), with SINGLE_STEPS whole steps one by one after each
+    zone entry and each jump.
     NoReturn is raised for a leftward start, or when t_max passes or the
     orbit overflows before such an event.
     """
@@ -218,18 +382,21 @@ def integrate_numeric(
     record_states = not until_return
     h_base = _base_step(system, tol)
     # Per zone: its field, its strip, the lines bounding the strip (zone i
-    # lies between lines i - 1 and i) and its step map at h_base.
+    # lies between lines i - 1 and i), its step map at h_base and, for the
+    # return map, the constants of that map's powers.
     layout = system.layout
     lines = layout.switching_lines
-    zone_table = {
-        zone_id: (
-            system.fields[i],
+    zone_table = {}
+    for i, zone_id in enumerate(layout.zone_ids):
+        field = system.fields[i]
+        step = _step_map(field, h_base)
+        zone_table[zone_id] = (
+            field,
             *layout.zone_interval(zone_id),
             lines[max(i - 1, 0) : i + 1],
-            _step_map(system.fields[i], h_base),
+            step,
+            _step_power(field, h_base, step) if until_return else None,
         )
-        for i, zone_id in enumerate(layout.zone_ids)
-    }
     # Whole steps need t + h_base > t for every t below t_max.  Should h_base
     # fall below the resolution of t_max, every step takes the checked path
     # below, which stops where t stalls.
@@ -241,18 +408,35 @@ def integrate_numeric(
     events: list[SwitchEvent] = []
 
     while t < t_max:
-        field, lo, hi, zone_lines, step = zone_table[zone]
+        field, lo, hi, zone_lines, step, power = zone_table[zone]
         e00, e01, e10, e11, ex, ey = step
         x, y = p
-        while h_base <= t_whole - t:
-            x_next = x + (e00 * x + e01 * y + ex)
-            if not lo < x_next < hi:
-                break
-            y += e10 * x + e11 * y + ey
-            x = x_next
-            t += h_base
-            if record_states:
+        if record_states:
+            while h_base <= t_whole - t:
+                x_next = x + (e00 * x + e01 * y + ex)
+                if not lo < x_next < hi:
+                    break
+                y += e10 * x + e11 * y + ey
+                x = x_next
+                t += h_base
                 states.append(FlowState((x, y), t, zone))
+        else:
+            singles = SINGLE_STEPS
+            while h_base <= t_whole - t:
+                if not singles:
+                    singles = SINGLE_STEPS
+                    k = _run_length(power, lo, hi, x, y, int((t_whole - t) / h_base) - 1)
+                    if k:
+                        x, y = _jump(power, step, k, x, y)
+                        t += k * h_base
+                        continue
+                singles -= 1
+                x_next = x + (e00 * x + e01 * y + ex)
+                if not lo < x_next < hi:
+                    break
+                y += e10 * x + e11 * y + ey
+                x = x_next
+                t += h_base
         p = (x, y)
         h = min(h_base, t_max - t)
         if h <= 0.0 or t + h == t:

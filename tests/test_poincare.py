@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import math
 import random
@@ -21,6 +22,7 @@ from pwlham.poincare import (
     EVENT_TOL,
     FIXED_POINT_Y_TOL,
     ORACLE_BRACKETS,
+    RETURN_T_MAX,
     BadBracket,
     FixedPoint,
     NoReturn,
@@ -34,7 +36,7 @@ from pwlham.poincare import (
     trajectory_to_csv,
 )
 
-from conftest import CCC_TIMES, GOLDEN_CORNERS
+from conftest import CCC_TIMES, GOLDEN_CORNERS, random_three_zone
 
 F = LinearHamiltonianField
 
@@ -112,6 +114,135 @@ def test_one_orbit_takes_pinned_work(examples, monkeypatch, name):
     )
     first_return(system, cert.corners[0][1])
     assert len(checked) == events
+
+
+def _count_jumped(monkeypatch) -> list[int]:
+    """The length of every run the return map jumps from now on."""
+    jumped: list[int] = []
+    run_length = poincare._run_length
+
+    def counted(*args):
+        k = run_length(*args)
+        jumped.append(k)
+        return k
+
+    monkeypatch.setattr(poincare, "_run_length", counted)
+    return jumped
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_WORK))
+def test_return_map_jumps_most_whole_steps(examples, monkeypatch, name):
+    system = examples[name]
+    jumped = _count_jumped(monkeypatch)
+    _, return_time = first_return(system, GOLDEN_CORNERS[name][0])
+    # The return takes at most return_time / h whole steps.
+    h = poincare._base_step(system, DEFAULT_TOL)
+    assert sum(jumped) >= 0.9 * return_time / h
+
+
+def _return_outcome(system, y: float) -> tuple:
+    """("return", y, t), ("no return", message) or ("slide", contact label)."""
+    try:
+        return ("return", *first_return(system, y))
+    except NoReturn as exc:
+        return ("no return", str(exc))
+    except SlidingEncountered as exc:
+        events = exc.trajectory.events
+        return ("slide", events[-1].classification.label if events else str(exc))
+
+
+def _perturbed_fixture(rng, system):
+    """The fixture with each coefficient scaled by a factor in [0.9, 1.1]."""
+    return PiecewiseSystem.three_zone(
+        *(
+            F(*(v * rng.uniform(0.9, 1.1) for v in (f.a, f.b, f.c, f.alpha, f.beta)))
+            for f in system.fields
+        )
+    )
+
+
+def _equivalence_probes(examples):
+    """Fixture probes at y0 + 0.05 k, k = -40..40, and seeded random probes:
+    three-zone systems from conftest, and perturbed fixtures near their y0."""
+    probes = [
+        (system, GOLDEN_CORNERS[name][0] + 0.05 * k)
+        for name, system in sorted(examples.items())
+        for k in range(-40, 41)
+    ]
+    rng = random.Random(22)
+    for _ in range(100):
+        system = random_three_zone(rng)
+        probes += [(system, rng.uniform(-4.0, 4.0)) for _ in range(2)]
+    for i in range(60):
+        name = sorted(examples)[i % 6]
+        system = _perturbed_fixture(rng, examples[name])
+        probes += [(system, GOLDEN_CORNERS[name][0] + rng.uniform(-1.0, 1.0)) for _ in range(4)]
+    return probes
+
+
+def test_jumped_return_map_matches_step_by_step(examples, monkeypatch):
+    probes = _equivalence_probes(examples)
+    systems = {id(system): system for system, _ in probes}.values()
+    # The random probes cover both kinds of outer zone and singular points
+    # outside their own strips.
+    assert {f.singularity.kind for s in systems for f in (s.fields[0], s.fields[2])} == {
+        "center", "saddle"
+    }
+    assert any(
+        not lo < f.singularity.location[0] < hi
+        for s in systems
+        for f, (lo, hi) in zip(s.fields, map(s.layout.zone_interval, s.layout.zone_ids))
+    )
+    jumped = [_return_outcome(system, y) for system, y in probes]
+    # With no run certified, every whole step is taken one by one.
+    monkeypatch.setattr(poincare, "_run_length", lambda *args: 0)
+    stepped = [_return_outcome(system, y) for system, y in probes]
+    kinds = [outcome[0] for outcome in stepped]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "return": 441, "no return": 230, "slide": 255
+    }
+    for (system, y), got, want in zip(probes, jumped, stepped):
+        if want[0] != "return":
+            assert got == want, (y, system.fields)
+            continue
+        assert got[0] == "return", (y, system.fields)
+        for g, w in zip(got[1:], want[1:]):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (y, system.fields)
+
+
+@pytest.mark.parametrize("overshoot", [1e-4, 1e-6, 1e-8, -1e-8, -1e-4])
+@pytest.mark.parametrize(
+    "field",
+    [F(0.0, 1.0, 1.0, 0.0, -2.0), F(0.0, 1.0, -1.0, 0.0, 0.0)],
+    ids=["saddle beyond the line", "centre"],
+)
+def test_certified_runs_stay_inside_the_strip(monkeypatch, field, overshoot):
+    # Both orbits turn at (1 + overshoot, 0), 12 steps on from the start.  A
+    # run is certified by its end and its extremum even without the saddle's
+    # crossing estimate, so no certified step may reach the line x = 1.
+    monkeypatch.setattr(poincare, "quadratic_roots", lambda *args: [])
+    h = poincare._base_step(PiecewiseSystem.three_zone(field, field, field), DEFAULT_TOL)
+    step = poincare._step_map(field, h)
+    power = poincare._step_power(field, h, step)
+    e00, e01, e10, e11, ex, ey = step
+    det = (1.0 + e00) * (1.0 + e11) - e01 * e10
+    x, y = 1.0 + overshoot, 0.0
+    for _ in range(12):  # undo the step map
+        u, v = x - ex, y - ey
+        x, y = ((1.0 + e11) * u - e01 * v) / det, ((1.0 + e00) * v - e10 * u) / det
+    path = [(x, y)]
+    while len(path) < 30 and path[-1][0] < 1.0:
+        x, y = path[-1]
+        path.append((x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey)))
+    # From the start, and from the last state before the line if it is met.
+    starts = [path[0]] + ([path[-2]] if path[-1][0] >= 1.0 else [])
+    for x, y in starts:
+        k = poincare._run_length(power, -1.0, 1.0, x, y, 10**6)
+        for j in range(1, k + 1):
+            x, y = x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey)
+            assert -1.0 < x < 1.0, (j, k)
+    if overshoot < 0.0:  # a run that misses the line goes past the turn
+        assert len(starts) == 1 and k > 12
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_WORK))
@@ -236,7 +367,7 @@ def test_overflowing_orbit_ends_at_its_last_finite_state(index, monkeypatch):
     assert all(map(math.isfinite, (v for s in trajectory.states for v in s.point)))
     assert trajectory.states[-1].time < 10.0
     assert len(checked) <= 10
-    with pytest.raises(NoReturn):
+    with pytest.raises(NoReturn, match=r"^no rightward return to x = 1 within t = 100$"):
         first_return(system, 5.0)
 
 
@@ -442,15 +573,40 @@ def test_sliding_halts_integration(examples):
     assert last.classification.label in ("sliding", "escaping", "tangency")
 
 
-def test_no_return_when_orbit_escapes():
+def test_no_return_when_orbit_escapes(monkeypatch):
     # b_R = 0 with positive a_R: x grows like exp(a t) and never comes back.
     system = PiecewiseSystem.three_zone(
         F(0.0, 1.0, -1.0, 0.0, 0.0),
         F(0.0, 1.0, -1.0, 0.0, 0.0),
         F(1.0, 0.0, 1.0, 1.0, 0.0),
     )
-    with pytest.raises(NoReturn):
+    jumped = _count_jumped(monkeypatch)
+    with pytest.raises(NoReturn, match=r"^no rightward return to x = 1 within t = 100$"):
         return_map(system, 1.0)
+    # The escape is jumped to the time budget: of the at most
+    # RETURN_T_MAX / h whole steps, no more than 10 are taken one by one.
+    h = poincare._base_step(system, DEFAULT_TOL)
+    assert sum(jumped) >= RETURN_T_MAX / h - 10
+
+
+def test_oracle_uses_no_closed_form():
+    """The oracle is independent evidence only while it shares no closed
+    form with the pipeline it checks."""
+    with open(poincare.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules.add(getattr(node, "module", None) or "")
+            names.update(alias.name for alias in node.names)
+            names.update(alias.asname for alias in node.names if alias.asname)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    imported = {part for module in modules for part in module.split(".")} | names
+    assert not imported & {"cycle", "closure"}
+    assert not names & {"flow_closed_form", "flight_time", "refine_flight_time", "orbit_samples"}
 
 
 def test_refinement_convergence_over_tolerance_halvings(ccc):
