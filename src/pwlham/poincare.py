@@ -3,12 +3,12 @@
 Orbits are integrated with the classical fixed-step fourth-order Runge-Kutta
 scheme, one zone at a time.  On an affine zone field one RK4 step is the
 order-4 Taylor polynomial of the flow in the step length, so a whole step is
-an affine map built once per zone.  The first step that leaves the zone's
-strip, or ends at the time budget, is evaluated once on its quartic in its
-length; if it crosses a switching line, the crossing time is localized by
-safeguarded Newton on that quartic minus the line's abscissa, inside the
-step.  The orbit is handed to the adjacent zone only when the contact
-classifies as a crossing.
+an affine map, one per zone, built once per system and tolerance
+(_zone_table).  The first step that leaves the zone's strip, or ends at the
+time budget, is evaluated once on its quartic in its length; if it crosses a
+switching line, the crossing time is localized by safeguarded Newton on that
+quartic minus the line's abscissa, inside the step.  The orbit is handed to
+the adjacent zone only when the contact classifies as a crossing.
 The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
@@ -28,6 +28,7 @@ machinery so that agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import IO, NamedTuple, Optional
 
@@ -150,46 +151,29 @@ def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
     raise ValueError(f"point {p} belongs to no zone")
 
 
-def _step_series(d: float, h: float) -> tuple[float, float]:
-    """r and q of the RK4 step of length h on a field with M^2 = d I."""
-    h2 = h * h
-    return h * (1.0 + h2 * d / 6.0), h2 * (0.5 + h2 * d / 24.0)
-
-
-def _step_map(field, h: float) -> tuple[float, ...]:
-    """The RK4 step of length h as p -> p + E p + e, returned as E and e.
+def _step_map(field, h: float) -> tuple:
+    """The RK4 step of length h as p -> p + E p + e, and the constants of its
+    powers: (E00, E01, E10, E11, e_x, e_y, a, b, c, D, p1, r, c_x, c_y, speed,
+    shape).
 
     On an affine field F(p) = M p + f the RK4 step is the order-4 Taylor
     polynomial of the flow, p + sum_k h^k/k! M^(k-1) F(p), and M^2 = D I with
-    D = a^2 + b*c.  So E = D q I + r M and e = r f + q M f, where
-    r = h + h^3 D/6 and q = h^2/2 + h^4 D/24.
+    D = a^2 + b*c.  So E = p1 I + r M and e = r f + q M f, where
+    r = h + h^3 D/6, q = h^2/2 + h^4 D/24 and p1 = D q.  Every power is
+    (I + E)^j = (1 + p_j) I + q_j M, and the step map's fixed point c solves
+    E c = -e.  About c, the abscissa after j steps is R rho^j cos(j theta -
+    phi) in a centre zone (D < 0), where 1 + p1 + i r omega = rho e^(i theta),
+    and A lam_up^j + B lam_down^j in a saddle zone (D > 0), where lam = 1 + p1
+    +- r sigma; speed is omega or sigma.  These shapes only choose how many
+    steps to jump; _jump itself uses E, e and the coefficients alone.
     """
     a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
     d = field.linear_determinant()
-    r, q = _step_series(d, h)
-    return (
-        d * q + r * a, r * b, r * c, d * q - r * a,
-        r * alpha + q * (a * alpha + b * beta),
-        r * beta + q * (c * alpha - a * beta),
-    )
-
-
-def _step_power(field, h: float, step: tuple[float, ...]) -> tuple:
-    """Constants of the powers of one zone's step map, for _run_length and _jump.
-
-    With E = p1 I + r M (p1 = D q), every power is (I + E)^j = (1 + p_j) I
-    + q_j M, and the step map's fixed point c solves E c = -e.  About c, the
-    abscissa after j steps is R rho^j cos(j theta - phi) in a centre zone
-    (D < 0), where 1 + p1 + i r omega = rho e^(i theta), and A lam_up^j +
-    B lam_down^j in a saddle zone (D > 0), where lam = 1 + p1 +- r sigma.
-    These shapes only choose how many steps to jump; _jump itself uses E
-    and e alone.
-    """
-    a, b, c = field.a, field.b, field.c
-    d = field.linear_determinant()
-    r, q = _step_series(d, h)
+    h2 = h * h
+    r, q = h * (1.0 + h2 * d / 6.0), h2 * (0.5 + h2 * d / 24.0)
     p1 = d * q
-    ex, ey = step[4], step[5]
+    ex = r * alpha + q * (a * alpha + b * beta)
+    ey = r * beta + q * (c * alpha - a * beta)
     det = p1 * p1 - r * r * d  # E (p1 I - r M) = det I
     cx = (r * (a * ex + b * ey) - p1 * ex) / det
     cy = (r * (c * ex - a * ey) - p1 * ey) / det
@@ -203,13 +187,16 @@ def _step_power(field, h: float, step: tuple[float, ...]) -> tuple:
         # h sigma <= 0.2 (_base_step), so 0 < lam_down < 1 < lam_up.
         speed = math.sqrt(d)
         shape = (math.log1p(p1 + r * speed), math.log1p(p1 - r * speed))
-    return (a, b, c, d, p1, r, cx, cy, speed, shape)
+    return (
+        p1 + r * a, r * b, r * c, p1 - r * a, ex, ey,
+        a, b, c, d, p1, r, cx, cy, speed, shape,
+    )
 
 
-def _run_length(power: tuple, lo: float, hi: float, x: float, y: float, cap: int) -> int:
+def _run_length(step: tuple, lo: float, hi: float, x: float, y: float, cap: int) -> int:
     """The most whole steps, up to cap, that provably keep the abscissa
     RUN_MARGIN inside (lo, hi) from (x, y); 0 when there is no such run."""
-    a, b, _, d, _, _, cx, cy, speed, shape = power
+    a, b, _, d, _, _, cx, cy, speed, shape = step[6:]
     ux = x - cx
     v = (a * ux + b * (y - cy)) / speed
     margin = RUN_MARGIN * (1.0 + abs(ux) + abs(v) + abs(cx))
@@ -274,7 +261,7 @@ def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
     return max(k, 0)
 
 
-def _jump(power: tuple, step: tuple[float, ...], k: int, x: float, y: float) -> Point:
+def _jump(step: tuple, k: int, x: float, y: float) -> Point:
     """The state k whole steps on from (x, y), by IEEE + and * only.
 
     The increments of successive steps are (I + E)^j (E p + e), so the jump
@@ -285,8 +272,7 @@ def _jump(power: tuple, step: tuple[float, ...], k: int, x: float, y: float) -> 
     Since P = S E, this adds P (p - c) for the step map's fixed point c
     without forming p - c, which loses digits when c lies far away.
     """
-    a, b, c, d, p1, r = power[:6]
-    e00, e01, e10, e11, ex, ey = step
+    e00, e01, e10, e11, ex, ey, a, b, c, d, p1, r = step[:12]
     dx = e00 * x + e01 * y + ex
     dy = e10 * x + e11 * y + ey
     p, q, s, t = p1, r, 1.0, 0.0
@@ -345,6 +331,21 @@ def _section(system: PiecewiseSystem) -> tuple[str, float, str]:
     return line_id, line_x, system.layout.zone_ids[-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _zone_table(system: PiecewiseSystem, tol: float) -> tuple[float, dict]:
+    """h_base, and per zone its field, its strip, the lines bounding the strip
+    (zone i lies between lines i - 1 and i) and its _step_map at h_base; kept,
+    as fixed_point runs many return maps on one unchanging system."""
+    h_base = _base_step(system, tol)
+    layout = system.layout
+    lines = layout.switching_lines
+    return h_base, {
+        zone_id: (field, *layout.zone_interval(zone_id), lines[max(i - 1, 0) : i + 1],
+                  _step_map(field, h_base))
+        for i, (zone_id, field) in enumerate(zip(layout.zone_ids, system.fields))
+    }
+
+
 def integrate_numeric(
     system: PiecewiseSystem,
     x0: Point,
@@ -354,8 +355,9 @@ def integrate_numeric(
 ) -> Trajectory:
     """Integrate the piecewise orbit from x0 for up to t_max time units.
 
-    Whole RK4 steps apply each zone's affine step map while the next
-    abscissa stays strictly inside the zone's strip.  The first step that
+    Whole RK4 steps apply each zone's affine step map, built once per system
+    and tolerance (_zone_table), while the next abscissa stays strictly
+    inside the zone's strip.  The first step that
     leaves the strip, or ends at t_max, is evaluated once on the step's
     quartic in its length.  If it reaches a switching line, the crossing
     time is found inside that step by safeguarded Newton on the quartic, to
@@ -373,30 +375,13 @@ def integrate_numeric(
     NoReturn is raised for a leftward start, or when t_max passes or the
     orbit overflows before such an event.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError("tol must be positive and finite")
     zone = _initial_zone(system, x0)
     section, section_x, outer = _section(system)
     if until_return and zone != outer:
         raise NoReturn(f"start point {x0} crosses {section} leftward, off the section")
-    record_states = not until_return
-    h_base = _base_step(system, tol)
-    # Per zone: its field, its strip, the lines bounding the strip (zone i
-    # lies between lines i - 1 and i), its step map at h_base and, for the
-    # return map, the constants of that map's powers.
-    layout = system.layout
-    lines = layout.switching_lines
-    zone_table = {}
-    for i, zone_id in enumerate(layout.zone_ids):
-        field = system.fields[i]
-        step = _step_map(field, h_base)
-        zone_table[zone_id] = (
-            field,
-            *layout.zone_interval(zone_id),
-            lines[max(i - 1, 0) : i + 1],
-            step,
-            _step_power(field, h_base, step) if until_return else None,
-        )
+    h_base, zones = _zone_table(system, tol)
     # Whole steps need t + h_base > t for every t below t_max.  Should h_base
     # fall below the resolution of t_max, every step takes the checked path
     # below, which stops where t stalls.
@@ -408,35 +393,27 @@ def integrate_numeric(
     events: list[SwitchEvent] = []
 
     while t < t_max:
-        field, lo, hi, zone_lines, step, power = zone_table[zone]
-        e00, e01, e10, e11, ex, ey = step
+        field, lo, hi, zone_lines, step = zones[zone]
+        e00, e01, e10, e11, ex, ey = step[:6]
         x, y = p
-        if record_states:
-            while h_base <= t_whole - t:
-                x_next = x + (e00 * x + e01 * y + ex)
-                if not lo < x_next < hi:
-                    break
-                y += e10 * x + e11 * y + ey
-                x = x_next
-                t += h_base
+        singles = SINGLE_STEPS
+        while h_base <= t_whole - t:
+            if until_return and not singles:
+                singles = SINGLE_STEPS
+                k = _run_length(step, lo, hi, x, y, int((t_whole - t) / h_base) - 1)
+                if k:
+                    x, y = _jump(step, k, x, y)
+                    t += k * h_base
+                    continue
+            singles -= 1
+            x_next = x + (e00 * x + e01 * y + ex)
+            if not lo < x_next < hi:
+                break
+            y += e10 * x + e11 * y + ey
+            x = x_next
+            t += h_base
+            if not until_return:
                 states.append(FlowState((x, y), t, zone))
-        else:
-            singles = SINGLE_STEPS
-            while h_base <= t_whole - t:
-                if not singles:
-                    singles = SINGLE_STEPS
-                    k = _run_length(power, lo, hi, x, y, int((t_whole - t) / h_base) - 1)
-                    if k:
-                        x, y = _jump(power, step, k, x, y)
-                        t += k * h_base
-                        continue
-                singles -= 1
-                x_next = x + (e00 * x + e01 * y + ex)
-                if not lo < x_next < hi:
-                    break
-                y += e10 * x + e11 * y + ey
-                x = x_next
-                t += h_base
         p = (x, y)
         h = min(h_base, t_max - t)
         if h <= 0.0 or t + h == t:
@@ -449,14 +426,14 @@ def integrate_numeric(
             # The orbit overflows and ends at its last finite state.  Whole
             # steps stop at an abscissa that is not finite, so at most the
             # ordinate of the last one overflowed; that state is dropped.
-            if record_states and not math.isfinite(y):
+            if not until_return and not math.isfinite(y):
                 states.pop()
             break
         crossing_line = _crossed_line(zone_lines, x, x_end)
         if crossing_line is None:
             t += h
             p = (x_end, y_end)
-            if record_states:
+            if not until_return:
                 states.append(FlowState(p, t, zone))
             continue
 
@@ -467,7 +444,7 @@ def integrate_numeric(
         t += tau
         cls = classify_boundary_point(system, p_event, line_id)
         events.append(SwitchEvent(t, p_event, line_id, cls))
-        if record_states:
+        if not until_return:
             states.append(FlowState(p_event, t, zone))
         if cls.label != "crossing":
             raise SlidingEncountered(
@@ -475,7 +452,7 @@ def integrate_numeric(
                 f"(t = {t:g})",
                 Trajectory(tuple(states), tuple(events)),
             )
-        minus_zone, plus_zone = layout.zones_beside(line_id)
+        minus_zone, plus_zone = system.layout.zones_beside(line_id)
         zone = plus_zone if cls.derivative_plus > 0.0 else minus_zone
         p = p_event
         if until_return and line_id == section and zone == outer:

@@ -223,8 +223,7 @@ def test_certified_runs_stay_inside_the_strip(monkeypatch, field, overshoot):
     monkeypatch.setattr(poincare, "quadratic_roots", lambda *args: [])
     h = poincare._base_step(PiecewiseSystem.three_zone(field, field, field), DEFAULT_TOL)
     step = poincare._step_map(field, h)
-    power = poincare._step_power(field, h, step)
-    e00, e01, e10, e11, ex, ey = step
+    e00, e01, e10, e11, ex, ey = step[:6]
     det = (1.0 + e00) * (1.0 + e11) - e01 * e10
     x, y = 1.0 + overshoot, 0.0
     for _ in range(12):  # undo the step map
@@ -237,7 +236,7 @@ def test_certified_runs_stay_inside_the_strip(monkeypatch, field, overshoot):
     # From the start, and from the last state before the line if it is met.
     starts = [path[0]] + ([path[-2]] if path[-1][0] >= 1.0 else [])
     for x, y in starts:
-        k = poincare._run_length(power, -1.0, 1.0, x, y, 10**6)
+        k = poincare._run_length(step, -1.0, 1.0, x, y, 10**6)
         for j in range(1, k + 1):
             x, y = x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey)
             assert -1.0 < x < 1.0, (j, k)
@@ -281,7 +280,7 @@ def test_step_map_is_the_rk4_step(examples):
     for system in systems:
         h = poincare._base_step(system, DEFAULT_TOL)
         for field in system.fields:
-            e00, e01, e10, e11, ex, ey = poincare._step_map(field, h)
+            e00, e01, e10, e11, ex, ey = poincare._step_map(field, h)[:6]
             for _ in range(1000):
                 x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
                 got = (x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey))
@@ -638,5 +637,22 @@ def test_trajectory_csv_round_trip(ccc):
 
 
 def test_invalid_tolerance_rejected(ccc):
-    with pytest.raises(ValueError):
-        integrate_numeric(ccc, (0.0, 0.0), 1.0, tol=0.0)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_numeric(ccc, (0.0, 0.0), 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fixed_point_near(ccc, GOLDEN_CORNERS["CCC"][0], tol=tol)
+
+
+def test_zone_table_is_derived_once_per_system(examples, monkeypatch):
+    # fixed_point_near runs several return maps on one system; each zone's
+    # step map is derived at the first of them only.
+    derived = []
+    step_map = poincare._step_map
+    monkeypatch.setattr(
+        poincare, "_step_map", lambda field, h: derived.append(field) or step_map(field, h)
+    )
+    poincare._zone_table.cache_clear()
+    system = examples["CCC"]
+    fixed_point_near(system, GOLDEN_CORNERS["CCC"][0])
+    assert derived == list(system.fields)

@@ -1,4 +1,5 @@
-"""The survey script's printed report and the bytes of plotted portraits."""
+"""The survey script's printed report and the bytes of plotted portraits
+and oracle trajectory dumps."""
 
 from __future__ import annotations
 
@@ -48,6 +49,19 @@ SAMPLE_ORBIT_SHA256 = {
 }
 
 
+# SHA-256 of `oracle --trajectory-csv` for each fixture: the recorded RK4
+# states of one period from the certified corner.  Any change to a recorded
+# step, event or its rounding moves a hash.
+TRAJECTORY_CSV_SHA256 = {
+    "ccc": "1b6c057e5fc50adbe29f9524cefdf62b5856a415b2a4a3c19b87a66fbadb2daa",
+    "scc": "afb6fba0ea21a8c1d98df8360e2ac1215d61194baf6fcefce9d5e5a503606965",
+    "scs": "a3d11d7c8676fe4bce6a501e1bbef3df4ad83be0d21e3c0b3642b30f21f1b399",
+    "csc": "3bc43e42f9511446e7b5544a2d04bf8f009e6a27ab1c14121e2df4711930041c",
+    "sss": "8e75d749f475c9416ce954b37184cedbcd2f8cba348d30e601e84035ccac66fc",
+    "ssc": "ebdb0a68868ac02c7f3f03ec2d32b35ff3793a38e82efb7b2d1afbce33b06e4a",
+}
+
+
 @pytest.mark.parametrize("name", list(PORTRAIT_SHA256))
 def test_plot_portrait_bytes(name, tmp_path):
     svg = tmp_path / f"{name}.svg"
@@ -62,3 +76,15 @@ def test_plot_sample_orbit_bytes(name, tmp_path):
     source = ROOT / "tests" / "golden" / f"{name}.input.json"
     assert main(["plot", "--input", str(source), "--output", str(svg)]) == EXIT_OK
     assert _sha256(svg) == SAMPLE_ORBIT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_CSV_SHA256))
+def test_oracle_trajectory_csv_bytes(name, tmp_path):
+    csv_out = tmp_path / f"{name}.csv"
+    source = ROOT / "src" / "pwlham" / "fixtures" / f"{name}.json"
+    code = main([
+        "oracle", "--input", str(source), "--output", str(tmp_path / "oracle.json"),
+        "--trajectory-csv", str(csv_out),
+    ])
+    assert code == EXIT_OK
+    assert _sha256(csv_out) == TRAJECTORY_CSV_SHA256[name]
