@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import math
 import random
 import runpy
 from decimal import Decimal, localcontext
@@ -602,3 +604,60 @@ def test_solve_two_zone_one_sided_continuum():
     assert isinstance(out, Continuum)
     (y0,) = out.parametrization(0.25)
     assert max(map(abs, residuals_two_zone(system, y0, 0.25))) <= 1e-9
+
+
+# --- the zero test ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_dispatch_threshold_is_inclusive(sign):
+    # coefficient_scale is 3 (c_L), so b_R counts as zero up to and including
+    # DISPATCH_TOL * (1 + 3); one float further out it does not.
+    left = F(1.0, 2.0, -3.0, 0.5, 0.25)
+    center = F(0.5, 1.0, -2.0, 0.25, 0.5)
+    edge = sign * closure.DISPATCH_TOL * 4.0
+    beyond = math.nextafter(edge, sign * math.inf)
+
+    def answers(b_r: float) -> tuple[str, str]:
+        right = F(1.5, b_r, 1.0, 1.0, 0.0)
+        three = PiecewiseSystem.three_zone(left, center, right)
+        assert three.coefficient_scale == 3.0
+        return (solve(three).reason,
+                solve(PiecewiseSystem.two_zone(left, right)).reason)
+
+    assert answers(edge) == (
+        "b_R = 0 with a_R + alpha_R != 0",
+        "b_R = 0 with alpha_R != 0: R-zone equation is unsolvable",
+    )
+    assert answers(beyond) == (
+        "conic intersections violate the corner orderings y1 < y0, y2 < y3",
+        "incompatible chord sums: alpha_L / b_L != alpha_R / b_R",
+    )
+
+
+def test_every_zero_test_goes_through_negligible():
+    """closure decides that a value is zero in one place, _negligible: only
+    it reads DISPATCH_TOL or compares an abs(...)."""
+    with open(closure.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (hook,) = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_negligible")
+    inside = {id(node) for node in ast.walk(hook)}
+
+    def is_abs(node: ast.expr) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "abs")
+
+    tol_reads, abs_compares, calls = [], [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "DISPATCH_TOL":
+            if isinstance(node.ctx, ast.Load) and id(node) not in inside:
+                tol_reads.append(node.lineno)
+        elif isinstance(node, ast.Compare) and id(node) not in inside:
+            if any(map(is_abs, [node.left, *node.comparators])):
+                abs_compares.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_negligible"):
+            calls.append(len(node.args))
+    assert tol_reads == [] and abs_compares == []
+    assert calls and set(calls) == {2}  # _negligible(value, scale)
