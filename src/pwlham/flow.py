@@ -160,8 +160,10 @@ def classify_boundary_point(
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
         )
-    d_minus = vector_field_value(minus_field, p)[0]
-    d_plus = vector_field_value(plus_field, p)[0]
+    # vector_field_value(field, p)[0] on each side, without building the vectors.
+    x, y = p
+    d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
+    d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
     if abs(d_minus) <= TANGENCY_TOL or abs(d_plus) <= TANGENCY_TOL:
         label = "tangency"
     elif d_minus * d_plus > 0.0:

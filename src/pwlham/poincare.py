@@ -13,7 +13,8 @@ The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
 combination of I and M, taken by repeated squaring with IEEE + and * from E
-and e alone; it is a power of the RK4 step, not the closed-form flow.  Only
+and e alone, once per zone and run length (_zone_table keeps them); it is a
+power of the RK4 step, not the closed-form flow.  Only
 the run's length is chosen with logarithms and trigonometry, as the most
 steps that provably keep the abscissa inside the strip, so single steps
 still meet every exit, event, contact and budget end.
@@ -69,6 +70,13 @@ RUN_MARGIN = 1e-9
 # after each jump, before it seeks the next run: a state on a line, or one
 # step short of where the abscissa may leave, admits no certified run.
 SINGLE_STEPS = 2
+
+# The most whole steps one return map takes one by one where no run is
+# certified.  Near each exit it steps through the RUN_MARGIN band, about
+# RUN_MARGIN / (h_base * speed) steps: some 1e3 at tol = 1e-45 on the
+# fixtures, 1e7 at tol = 1e-60.  A tol whose step needs more raises
+# ValueError rather than running for minutes.
+RETURN_SINGLES_MAX = 1 << 20
 
 # A saddle zone's run of k steps keeps lam_up^k <= exp(RUN_GROWTH_MAX), so the
 # powers that jump it stay finite.
@@ -261,20 +269,17 @@ def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
     return max(k, 0)
 
 
-def _jump(step: tuple, k: int, x: float, y: float) -> Point:
-    """The state k whole steps on from (x, y), by IEEE + and * only.
+def _jump_powers(step: tuple, k: int) -> tuple[float, float]:
+    """(s, t) with S = sum over j < k of (I + E)^j = s I + t M, by IEEE + and *
+    only, from E = p1 I + r M and D.
 
-    The increments of successive steps are (I + E)^j (E p + e), so the jump
-    adds S (E p + e) with S = sum over j < k of (I + E)^j = s I + t M.  S
-    and P = (I + E)^m - I = p I + q M are built from m = 1 by doubling,
+    S and P = (I + E)^m - I = p I + q M are built from m = 1 by doubling,
     S <- S (2 I + P), and by one more step, S <- S + I + P; P composes by
     (p, q) o (p', q') = (p + p' + p p' + D q q', q + q' + p q' + q p').
-    Since P = S E, this adds P (p - c) for the step map's fixed point c
-    without forming p - c, which loses digits when c lies far away.
+    They depend on the zone's step map and on k alone, so the return map
+    takes them once per zone and run length (_jump).
     """
-    e00, e01, e10, e11, ex, ey, a, b, c, d, p1, r = step[:12]
-    dx = e00 * x + e01 * y + ex
-    dy = e10 * x + e11 * y + ey
+    d, p1, r = step[9:12]
     p, q, s, t = p1, r, 1.0, 0.0
     for bit in bin(k)[3:]:
         u = 2.0 + p
@@ -283,6 +288,29 @@ def _jump(step: tuple, k: int, x: float, y: float) -> Point:
         if bit == "1":
             s, t = s + 1.0 + p, t + q
             p, q = p + p1 + p * p1 + d * q * r, q + r + p * r + q * p1
+    return s, t
+
+
+def _jump(entry: tuple, k: int, x: float, y: float) -> Point:
+    """The state k whole steps on from (x, y) in the zone of ``entry`` (a
+    _zone_table entry), by IEEE + and * only.
+
+    The increments of successive steps are (I + E)^j (E p + e), so the jump
+    adds S (E p + e) with S = sum over j < k of (I + E)^j = s I + t M.  The
+    entry keeps its step map's (s, t) by k: each is taken by _jump_powers at
+    the first run of its length and reused by every later one.  Since
+    S E = (I + E)^k - I, this adds that power times p - c for the step
+    map's fixed point c without forming p - c, which loses digits when c
+    lies far away.
+    """
+    step, powers = entry[4:]
+    st = powers.get(k)
+    if st is None:
+        st = powers[k] = _jump_powers(step, k)
+    s, t = st
+    e00, e01, e10, e11, ex, ey, a, b, c = step[:9]
+    dx = e00 * x + e01 * y + ex
+    dy = e10 * x + e11 * y + ey
     return (
         x + (s * dx + t * (a * dx + b * dy)),
         y + (s * dy + t * (c * dx - a * dy)),
@@ -334,14 +362,15 @@ def _section(system: PiecewiseSystem) -> tuple[str, float, str]:
 @functools.lru_cache(maxsize=8)
 def _zone_table(system: PiecewiseSystem, tol: float) -> tuple[float, dict]:
     """h_base, and per zone its field, its strip, the lines bounding the strip
-    (zone i lies between lines i - 1 and i) and its _step_map at h_base; kept,
-    as fixed_point runs many return maps on one unchanging system."""
+    (zone i lies between lines i - 1 and i), its _step_map at h_base and the
+    jump powers of its runs by length, filled as _jump meets them; kept, as
+    fixed_point runs many return maps on one unchanging system."""
     h_base = _base_step(system, tol)
     layout = system.layout
     lines = layout.switching_lines
     return h_base, {
         zone_id: (field, *layout.zone_interval(zone_id), lines[max(i - 1, 0) : i + 1],
-                  _step_map(field, h_base))
+                  _step_map(field, h_base), {})
         for i, (zone_id, field) in enumerate(zip(layout.zone_ids, system.fields))
     }
 
@@ -373,7 +402,11 @@ def integrate_numeric(
     (_run_length, _jump), with SINGLE_STEPS whole steps one by one after each
     zone entry and each jump.
     NoReturn is raised for a leftward start, or when t_max passes or the
-    orbit overflows before such an event.
+    orbit overflows before such an event.  ValueError is raised for a tol
+    that is not positive and finite, when the orbit, before t_max and before
+    its return, reaches a time whose resolution exceeds the RK4 step, where
+    steps would no longer advance t, or when the return map's step is so
+    short that it would take more than RETURN_SINGLES_MAX single steps.
     """
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError("tol must be positive and finite")
@@ -382,10 +415,10 @@ def integrate_numeric(
     if until_return and zone != outer:
         raise NoReturn(f"start point {x0} crosses {section} leftward, off the section")
     h_base, zones = _zone_table(system, tol)
-    # Whole steps need t + h_base > t for every t below t_max.  Should h_base
-    # fall below the resolution of t_max, every step takes the checked path
-    # below, which stops where t stalls.
-    t_whole = t_max if h_base >= math.ulp(t_max) else -math.inf
+    # A step advances t while ulp(t) <= h_base, that is for t below 2^53
+    # times the largest power of two not above h_base.
+    t_whole = min(t_max, math.ldexp(1.0, math.frexp(h_base)[1] + 52))
+    singles_left = RETURN_SINGLES_MAX
 
     t = 0.0
     p = x0
@@ -393,7 +426,8 @@ def integrate_numeric(
     events: list[SwitchEvent] = []
 
     while t < t_max:
-        field, lo, hi, zone_lines, step = zones[zone]
+        entry = zones[zone]
+        field, lo, hi, zone_lines, step = entry[:5]
         e00, e01, e10, e11, ex, ey = step[:6]
         x, y = p
         singles = SINGLE_STEPS
@@ -402,9 +436,15 @@ def integrate_numeric(
                 singles = SINGLE_STEPS
                 k = _run_length(step, lo, hi, x, y, int((t_whole - t) / h_base) - 1)
                 if k:
-                    x, y = _jump(step, k, x, y)
+                    x, y = _jump(entry, k, x, y)
                     t += k * h_base
                     continue
+                singles_left -= SINGLE_STEPS
+                if singles_left < 0:
+                    raise ValueError(
+                        f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, too "
+                        f"short to return in {RETURN_SINGLES_MAX} single steps"
+                    )
             singles -= 1
             x_next = x + (e00 * x + e01 * y + ex)
             if not lo < x_next < hi:
@@ -416,8 +456,13 @@ def integrate_numeric(
                 states.append(FlowState((x, y), t, zone))
         p = (x, y)
         h = min(h_base, t_max - t)
-        if h <= 0.0 or t + h == t:
-            break  # t_max reached, or the rest is below t's resolution
+        if h <= 0.0:
+            break  # t_max reached
+        if t >= t_whole:
+            raise ValueError(
+                f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, below the "
+                f"time resolution of t = {t:g}, before t_max = {t_max:g}"
+            )
 
         x_quartic, y_quartic = _step_quartics(field, p)
         x_end = _quartic(x_quartic, h)

@@ -479,6 +479,7 @@ def test_invalid_options_exit_2(ccc_path, tmp_path):
         ["plot", "--tol", "-1"],
         ["oracle", "--tol", "nan"],
         ["oracle", "--tol", "inf"],
+        ["oracle", "--tol", "1e-60"],  # its RK4 step is too short to return
         ["plot", "--samples", "1"],
         ["plot", "--window", "0,0,0,1"],
         ["plot", "--window=-inf,inf,-3,3"],

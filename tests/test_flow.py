@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pwlham import flow
 from pwlham.cycle import ARC_ZONES, find_limit_cycle
@@ -21,10 +21,12 @@ from pwlham.flow import (
     refine_flight_time,
 )
 from pwlham.model import (
+    DegenerateField,
     LinearHamiltonianField,
     PiecewiseSystem,
     classify_singularity,
     hamiltonian_value,
+    vector_field_value,
 )
 
 from conftest import CCC_PRODUCTS, CCC_TIMES, GOLDEN_CORNERS, random_field
@@ -216,6 +218,26 @@ def test_crossing_labels_partition():
             assert cls.product < 0.0
         else:
             assert min(abs(cls.derivative_minus), abs(cls.derivative_plus)) <= 1e-10
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 5), min_size=3, max_size=3
+    ),
+    st.sampled_from(["L", "R"]),
+    st.floats(-0.5 * flow.ON_LINE_TOL, 0.5 * flow.ON_LINE_TOL),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+def test_contact_velocities_are_the_fields(coefficients, line, offset, y):
+    try:
+        system = PiecewiseSystem.three_zone(*(F(*c) for c in coefficients))
+    except DegenerateField:
+        assume(False)
+    line_x, minus_field, plus_field = system.line_fields(line)
+    p = (line_x + offset, y)
+    cls = classify_boundary_point(system, p, line)
+    assert cls.derivative_minus == vector_field_value(minus_field, p)[0]
+    assert cls.derivative_plus == vector_field_value(plus_field, p)[0]
 
 
 def test_not_on_switching_line():

@@ -642,6 +642,35 @@ def test_invalid_tolerance_rejected(ccc):
             integrate_numeric(ccc, (0.0, 0.0), 1.0, tol=tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             fixed_point_near(ccc, GOLDEN_CORNERS["CCC"][0], tol=tol)
+    # At tol = 1e-60, h_base = 5e-16: stepping through the RUN_MARGIN band
+    # of one exit alone would take some 1e7 single steps.
+    with pytest.raises(ValueError, match="single steps") as info:
+        fixed_point_near(ccc, GOLDEN_CORNERS["CCC"][0], tol=1e-60)
+    assert "tol 1e-60 gives the RK4 step h_base = 5e-16," in str(info.value)
+
+
+def test_whole_steps_stop_at_the_time_resolution(examples, monkeypatch):
+    # A fast centre's h_base = 0.2 / 1e14 is below ulp(RETURN_T_MAX) but
+    # resolves every t up to 16; its orbit returns at 2 pi / 1e14.
+    fast = PiecewiseSystem.three_zone(*[F(0.0, 1e14, -1e14, 0.0, 0.0)] * 3)
+    y, t = first_return(fast, 0.5)
+    assert y == pytest.approx(0.5, rel=1e-4)
+    assert t == pytest.approx(2.0 * math.pi / 1e14, rel=1e-4)
+    # ulp(1e20) = 16384: the budget only bounds the runs, so the returns
+    # equal those within RETURN_T_MAX.
+    for name, system in sorted(examples.items()):
+        start = (1.0, GOLDEN_CORNERS[name][0])
+        assert integrate_numeric(system, start, 1e20, until_return=True) == (
+            integrate_numeric(system, start, RETURN_T_MAX, until_return=True)
+        ), name
+    # A slow centre at tol = 1e-60 jumps to t = 4, beyond which a step of
+    # h_base = 5e-16 may not advance t; without a RUN_MARGIN band to step
+    # through, its first run gets there.
+    monkeypatch.setattr(poincare, "RUN_MARGIN", 0.0)
+    slow = PiecewiseSystem.three_zone(*[F(0.0, 0.1, -0.1, 0.0, 0.0)] * 3)
+    with pytest.raises(ValueError, match="below the time resolution") as info:
+        integrate_numeric(slow, (1.0, 10.0), RETURN_T_MAX, tol=1e-60, until_return=True)
+    assert str(info.value).endswith("of t = 4, before t_max = 100")
 
 
 def test_zone_table_is_derived_once_per_system(examples, monkeypatch):
@@ -656,3 +685,62 @@ def test_zone_table_is_derived_once_per_system(examples, monkeypatch):
     system = examples["CCC"]
     fixed_point_near(system, GOLDEN_CORNERS["CCC"][0])
     assert derived == list(system.fields)
+
+
+def _doubled_jump(step: tuple, k: int, x: float, y: float) -> Point:
+    """Reference: the jump with its powers doubled afresh on every call, in
+    the IEEE operations and order the return map uses."""
+    e00, e01, e10, e11, ex, ey, a, b, c, d, p1, r = step[:12]
+    dx = e00 * x + e01 * y + ex
+    dy = e10 * x + e11 * y + ey
+    p, q, s, t = p1, r, 1.0, 0.0
+    for bit in bin(k)[3:]:
+        u = 2.0 + p
+        s, t = s * u + d * t * q, s * q + t * u
+        p, q = p * u + d * q * q, q * (u + p)
+        if bit == "1":
+            s, t = s + 1.0 + p, t + q
+            p, q = p + p1 + p * p1 + d * q * r, q + r + p * r + q * p1
+    return (
+        x + (s * dx + t * (a * dx + b * dy)),
+        y + (s * dy + t * (c * dx - a * dy)),
+    )
+
+
+def test_jump_powers_are_derived_once_per_zone_and_run_length(examples, monkeypatch):
+    derived, jumps = [], []
+    jump_powers, jump = poincare._jump_powers, poincare._jump
+    monkeypatch.setattr(
+        poincare, "_jump_powers",
+        lambda step, k: derived.append((id(step), k)) or jump_powers(step, k),
+    )
+    monkeypatch.setattr(
+        poincare, "_jump",
+        lambda entry, k, x, y: jumps.append((id(entry[4]), k)) or jump(entry, k, x, y),
+    )
+    for name, system in sorted(examples.items()):
+        poincare._zone_table.cache_clear()
+        derived.clear()
+        jumps.clear()
+        y = fixed_point_near(system, GOLDEN_CORNERS[name][0]).y
+        first_return(system, y)
+        # Each of the oracle's return maps jumps once per zone visit, but the
+        # runs repeat a few lengths: one derivation each.
+        assert sorted(derived) == sorted(set(jumps)), name
+        assert 4 <= len(derived) <= 6 and len(jumps) >= 24, (name, derived, jumps)
+
+
+def test_kept_jump_powers_match_fresh_doubling(examples):
+    rng = random.Random(25)
+    poincare._zone_table.cache_clear()
+    for name, system in sorted(examples.items()):
+        for zone, entry in poincare._zone_table(system, DEFAULT_TOL)[1].items():
+            _, lo, hi, _, step, powers = entry
+            x = rng.uniform(max(lo, -3.0), min(hi, 3.0))
+            y = rng.uniform(-3.0, 3.0)
+            for k in range(1, 4097):
+                want = _doubled_jump(step, k, x, y)
+                # Derived at the first run of length k, then read back.
+                assert poincare._jump(entry, k, x, y) == want, (name, zone, k)
+                assert poincare._jump(entry, k, x, y) == want, (name, zone, k)
+            assert sorted(powers) == list(range(1, 4097))
