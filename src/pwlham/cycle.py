@@ -218,7 +218,17 @@ def verify_certificate(
 
     max_gap = 0.0
     max_drift = 0.0
+    max_late = 0.0
     for (field, start, target), t in zip(_arcs(system, certificate.corners), times):
+        # The recorded time must be the arc's first arrival at its target
+        # line, not a later one after whole revolutions.  An arc with no
+        # first arrival, or a NaN time, counts as an infinite gap.
+        try:
+            first = flow.flight_time(field, start, target[0])
+        except (flow.NeverReaches, flow.TangentialContact, ArithmeticError):
+            first = math.nan
+        late = abs(t - first) / (1.0 + first)
+        max_late = max(max_late, math.inf if math.isnan(late) else late)
         # A time that is not finite and positive, or an arc whose flow
         # overflows, leaves no endpoint to compare: an infinite gap.
         landing = (math.nan,)
@@ -237,6 +247,9 @@ def verify_certificate(
         drift = abs(hamiltonian_value(field, landing) - h0) / (1.0 + abs(h0))
         # An energy that overflows gives a NaN drift, which max() would drop.
         max_drift = max(max_drift, math.inf if math.isnan(drift) else drift)
+    checks.append(CheckResult("flight_times_first_arrival",
+                              max_late <= flow.CROSS_CHECK_TOL,
+                              max_late, flow.CROSS_CHECK_TOL))
     checks.append(CheckResult("arc_endpoints", max_gap <= CLOSURE_TOL,
                               max_gap, CLOSURE_TOL))
     checks.append(CheckResult("arc_energy_constant",

@@ -13,14 +13,15 @@ Because the switching lines are vertical, the contact of a zone field with a
 line is governed by the first field component alone: boundary points are
 classified by the signs of the two one-sided x-velocities, and flight times
 between lines reduce to scalar trigonometric (center) or exponential
-(saddle) equations that we solve in closed form and cross-check by
-safeguarded Newton on x(t) - target inside a sign-change bracket.
+(saddle) equations that we solve in closed form.  Each closed-form time t is
+cross-checked by one sign test: x(t) - target must change sign between
+t +/- CROSS_CHECK_TOL * (1 + t), so a transversal root lies that close.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .model import (
     LinearHamiltonianField,
@@ -35,11 +36,8 @@ TANGENCY_TOL = 1e-10
 # A point within this distance of a switching line's abscissa lies on it.
 ON_LINE_TOL = 1e-9
 
-# Newton correction (or bracket width) at which the flight-time cross-check
-# stops refining.
-REFINE_TOL = 1e-12
-
-# Agreement required between the closed-form flight time and its refinement.
+# The flow must cross the target line within CROSS_CHECK_TOL * (1 + t) of a
+# closed-form flight time t.
 CROSS_CHECK_TOL = 1e-9
 
 # A center orbit of radius R about px reaches the line x = px + d while
@@ -286,9 +284,9 @@ def flight_time(
 
     Returns the smallest t > 0 at which x(t) equals the target abscissa with
     a transversal crossing oriented out of the strip being traversed.  The
-    closed-form answer is validated against safeguarded Newton on
-    g(t) = x(t) - target_x, inside a sign-change bracket, before being
-    returned.
+    closed-form answer is returned only once refine_flight_time confirms
+    that g(t) = x(t) - target_x changes sign within
+    CROSS_CHECK_TOL * (1 + t) of it.
     """
     s0, s1 = p0[0], float(target_x)
     required_sign = _required_arrival_sign(field, p0, s0, s1)
@@ -302,57 +300,26 @@ def flight_time(
         t = _center_flight_time(u, v, d, m, s1, required_sign)
     else:
         t = _saddle_flight_time(field, p0, u, v, d, m, s1, required_sign)
-    t_refined = refine_flight_time(field, p0, s1, t)
-    if abs(t - t_refined) > CROSS_CHECK_TOL * (1.0 + abs(t)):
-        raise ArithmeticError(
-            f"flight-time cross-check failed: closed form {t!r} vs "
-            f"Newton refinement {t_refined!r}"
-        )
+    refine_flight_time(field, p0, s1, t)
     return t
 
 
 def refine_flight_time(
     field: LinearHamiltonianField, p0: Point, target_x: float, t_approx: float
 ) -> float:
-    """Root of g(t) = x(t) - target_x near t_approx, by safeguarded Newton.
+    """Root of g(t) = x(t) - target_x within w = CROSS_CHECK_TOL * (1 +
+    |t_approx|) of t_approx, as the secant root of g at t_approx +/- w.
 
-    Newton steps from t_approx use g'(t) = x'(t), the field's first
-    component along the flow; a step that leaves the sign-change bracket
-    around t_approx bisects it instead.  Stops once the correction or the
-    bracket is within REFINE_TOL.
+    ArithmeticError unless g changes sign between those two times, that is
+    unless the orbit crosses the line within w of t_approx.
     """
-
-    def g(t: float) -> float:
-        return flow_closed_form(field, p0, t)[0] - target_x
-
-    lo, hi, glo = _bracket_root(g, t_approx)
-    t = t_approx
-    for _ in range(200):
-        p = flow_closed_form(field, p0, t)
-        gt = p[0] - target_x
-        if glo * gt <= 0.0:
-            hi = t
-        else:
-            lo, glo = t, gt
-        slope = vector_field_value(field, p)[0]
-        correction = gt / slope if slope != 0.0 else math.inf
-        if abs(correction) <= REFINE_TOL:
-            return t - correction
-        if hi - lo <= REFINE_TOL:
-            break
-        t -= correction
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def _bracket_root(g: Callable[[float], float], t0: float) -> tuple[float, float, float]:
-    """A sign-change bracket (lo, hi) around the transversal root near t0,
-    and g(lo)."""
-    for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1):
-        lo = max(t0 - delta, 0.25 * t0)  # stay clear of the t = 0 root
-        hi = t0 + delta
-        glo = g(lo)
-        if glo * g(hi) < 0.0:
-            return (lo, hi, glo)
-    raise ArithmeticError(f"could not bracket the arrival time near t = {t0!r}")
+    w = CROSS_CHECK_TOL * (1.0 + abs(t_approx))
+    lo, hi = t_approx - w, t_approx + w
+    g_lo = flow_closed_form(field, p0, lo)[0] - target_x
+    g_hi = flow_closed_form(field, p0, hi)[0] - target_x
+    if not g_lo * g_hi < 0.0:
+        raise ArithmeticError(
+            f"flight-time cross-check failed: the orbit does not cross "
+            f"x = {target_x:g} within t = {t_approx!r} +/- {w:.3g}"
+        )
+    return (lo * g_hi - hi * g_lo) / (g_hi - g_lo)

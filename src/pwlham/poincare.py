@@ -71,12 +71,13 @@ RUN_MARGIN = 1e-9
 # step short of where the abscissa may leave, admits no certified run.
 SINGLE_STEPS = 2
 
-# The most whole steps one return map takes one by one where no run is
-# certified.  Near each exit it steps through the RUN_MARGIN band, about
-# RUN_MARGIN / (h_base * speed) steps: some 1e3 at tol = 1e-45 on the
-# fixtures, 1e7 at tol = 1e-60.  A tol whose step needs more raises
-# ValueError rather than running for minutes.
-RETURN_SINGLES_MAX = 1 << 20
+# The most steps one run of integrate_numeric takes one by one: every step
+# of a recorded run, so also the most states it records past its start, and
+# every step a return map does not jump.  Near each exit the return map
+# steps through the RUN_MARGIN band, about RUN_MARGIN / (h_base * speed)
+# steps: some 1e3 at tol = 1e-45 on the fixtures, 1e7 at tol = 1e-60.  A tol
+# whose step needs more raises ValueError rather than running for minutes.
+SINGLE_STEPS_MAX = 1 << 20
 
 # A saddle zone's run of k steps keeps lam_up^k <= exp(RUN_GROWTH_MAX), so the
 # powers that jump it stay finite.
@@ -345,9 +346,10 @@ def _crossed_line(lines, x: float, x_next: float) -> Optional[tuple[str, float]]
     """First bounding line the abscissa crosses (or lands on) from x to x_next."""
     for line_id, line_x in lines:
         g_end = x_next - line_x
-        # g_end == 0 exactly: the step lands on the line; localize it as an
-        # event rather than silently stepping past.
-        if (x - line_x) * g_end < 0.0 or g_end == 0.0:
+        # g_end == 0 exactly: a step from off the line lands on it; localize
+        # it as an event rather than silently stepping past.  A step that
+        # starts on the line and ends there has not met it again.
+        if (x - line_x) * g_end < 0.0 or (g_end == 0.0 and x != line_x):
             return line_id, line_x
     return None
 
@@ -405,8 +407,10 @@ def integrate_numeric(
     orbit overflows before such an event.  ValueError is raised for a tol
     that is not positive and finite, when the orbit, before t_max and before
     its return, reaches a time whose resolution exceeds the RK4 step, where
-    steps would no longer advance t, or when the return map's step is so
-    short that it would take more than RETURN_SINGLES_MAX single steps.
+    steps would no longer advance t, or when the run would take more than
+    SINGLE_STEPS_MAX steps one by one: whole steps outside the return map's
+    jumps, and the steps evaluated on their quartic.  So a recorded
+    trajectory holds at most SINGLE_STEPS_MAX states past its start.
     """
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError("tol must be positive and finite")
@@ -418,7 +422,7 @@ def integrate_numeric(
     # A step advances t while ulp(t) <= h_base, that is for t below 2^53
     # times the largest power of two not above h_base.
     t_whole = min(t_max, math.ldexp(1.0, math.frexp(h_base)[1] + 52))
-    singles_left = RETURN_SINGLES_MAX
+    singles_left = SINGLE_STEPS_MAX
 
     t = 0.0
     p = x0
@@ -431,7 +435,7 @@ def integrate_numeric(
         e00, e01, e10, e11, ex, ey = step[:6]
         x, y = p
         singles = SINGLE_STEPS
-        while h_base <= t_whole - t:
+        while singles_left and h_base <= t_whole - t:
             if until_return and not singles:
                 singles = SINGLE_STEPS
                 k = _run_length(step, lo, hi, x, y, int((t_whole - t) / h_base) - 1)
@@ -439,12 +443,6 @@ def integrate_numeric(
                     x, y = _jump(entry, k, x, y)
                     t += k * h_base
                     continue
-                singles_left -= SINGLE_STEPS
-                if singles_left < 0:
-                    raise ValueError(
-                        f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, too "
-                        f"short to return in {RETURN_SINGLES_MAX} single steps"
-                    )
             singles -= 1
             x_next = x + (e00 * x + e01 * y + ex)
             if not lo < x_next < hi:
@@ -452,6 +450,7 @@ def integrate_numeric(
             y += e10 * x + e11 * y + ey
             x = x_next
             t += h_base
+            singles_left -= 1
             if not until_return:
                 states.append(FlowState((x, y), t, zone))
         p = (x, y)
@@ -463,6 +462,12 @@ def integrate_numeric(
                 f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, below the "
                 f"time resolution of t = {t:g}, before t_max = {t_max:g}"
             )
+        if not singles_left:
+            raise ValueError(
+                f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, too short "
+                f"to end the run within {SINGLE_STEPS_MAX} single steps"
+            )
+        singles_left -= 1
 
         x_quartic, y_quartic = _step_quartics(field, p)
         x_end = _quartic(x_quartic, h)

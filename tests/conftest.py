@@ -10,6 +10,7 @@ import pytest
 
 from pwlham.cli import bundle_examples
 from pwlham.closure import _sums_and_gaps, residuals_three_zone
+from pwlham.cycle import ARC_ZONES
 from pwlham.model import LinearHamiltonianField, PiecewiseSystem
 
 # Exact corner ordinates (y0, y1, y2, y3) of the six bundled systems,
@@ -72,6 +73,16 @@ CCC_TIMES = {
     "t_L": 0.5 * math.atan(12.0 * _SQ295865 / 7201.0),
     "t_C2": -0.5 * math.atan(96.0 * (_SQ295865 - 10810.0) / 496001.0),
 }
+
+# (fixture name, arc index) of each cycle arc that runs through a centre zone
+# of a bundled system, twelve in all: one revolution later such an arc is back
+# on the same corner with the same energy.
+CENTRE_ARCS = [
+    (name, arc)
+    for name, system in bundle_examples()
+    for arc, zone in enumerate(ARC_ZONES)
+    if system.field(zone).singularity.kind == "center"
+]
 
 
 @pytest.fixture(scope="session")

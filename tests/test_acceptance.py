@@ -250,7 +250,7 @@ def test_criterion_7_numerical_hygiene(examples):
         assert abs(one[0] - two[0]) <= HYGIENE_TOL * (1 + abs(one[0]))
         assert abs(one[1] - two[1]) <= HYGIENE_TOL * (1 + abs(one[1]))
 
-    # Closed-form flight times vs their bracketed Newton refinement.
+    # Closed-form flight times vs the secant root of their cross-check bracket.
     reachable = 0
     worst = 0.0
     while reachable < 1000:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from pwlham.cycle import find_limit_cycle
 from pwlham.model import system_from_json_dict
 from pwlham.poincare import ORACLE_AGREEMENT_TOL, ORACLE_BRACKETS
 
-from conftest import GOLDEN_CORNERS
+from conftest import CENTRE_ARCS, GOLDEN_CORNERS
 
 
 @pytest.fixture()
@@ -201,6 +202,26 @@ def test_verify_reports_bad_flight_time(tmp_path, capsys, key, value):
     assert (code, err) == (1, "")
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert "arc_endpoints" in failed
+
+
+@pytest.mark.parametrize("name, arc", CENTRE_ARCS)
+def test_verify_command_rejects_a_time_a_revolution_late(tmp_path, capsys, name, arc):
+    """A saved certificate whose centre arc takes one more revolution, with
+    the period to match, fails verify: exit 1, nothing on stderr."""
+    path = tmp_path / "system.json"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    main(["cycle", "--input", str(path), "--output", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    field = dict(bundle_examples())[name].field(cycle.ARC_ZONES[arc])
+    doc["flight_times"][cycle.TIME_KEYS[arc]] += math.tau / field.singularity.modulus
+    doc["period"] = sum(doc["flight_times"][key] for key in cycle.TIME_KEYS)
+    cert_path.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(path), "--certificate", str(cert_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_VERIFICATION_FAILED, "")
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["flight_times_first_arrival"]
 
 
 def test_output_help_names_each_default(capsys):
@@ -451,7 +472,8 @@ def test_output_matches_golden_values(name, command, tmp_path, capsys):
 
 def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
     # SCS with a_C moved so the C-arc arrives at x = -1 with an x-velocity
-    # of ~1.9e-8: transversal by TANGENCY_TOL, but too flat to bracket.
+    # of ~1.9e-8: transversal by TANGENCY_TOL, but so flat that x(t) does not
+    # change sign within the flight-time cross-check's tolerance.
     path = GOLDEN / "scs_grazing.input.json"
     outputs = {}
     for argv in (["cycle"], ["verify"], ["oracle"],
@@ -462,7 +484,7 @@ def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
     doc = json.loads(outputs["cycle"].out)
     assert doc["closure"]["outcome"] == "unique_candidate"
     assert doc["limit_cycle"] is False
-    assert "could not bracket" in doc["report"]
+    assert "cross-check" in doc["report"]
 
 
 def test_render_svg_rejects_empty_polyline(tmp_path):
@@ -493,6 +515,20 @@ def test_invalid_options_exit_2(ccc_path, tmp_path):
         except SystemExit as exc:  # rejected by the argument parser
             code = exc.code
         assert code == EXIT_INPUT_ERROR, argv
+
+
+def test_a_recording_past_the_step_budget_exits_2(ccc_path, tmp_path, monkeypatch, capsys):
+    """plot's sample orbit and oracle's trajectory dump record one state per
+    step; past poincare.SINGLE_STEPS_MAX steps they exit 2 and write nothing."""
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", 100)
+    svg, csv = tmp_path / "orbit.svg", tmp_path / "orbit.csv"
+    for argv in (
+        ["plot", "--input", str(GOLDEN / "two_zone.input.json"), "--output", str(svg)],
+        ["oracle", "--input", str(ccc_path), "--trajectory-csv", str(csv)],
+    ):
+        assert main(argv) == EXIT_INPUT_ERROR, argv
+        assert "within 100 single steps" in capsys.readouterr().err, argv
+    assert not svg.exists() and not csv.exists()
 
 
 def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):

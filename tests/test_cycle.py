@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from pwlham import model
 from pwlham.cli import fixture_text
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
+    ARC_ZONES,
     certificate_from_json_dict,
     certificate_to_json_dict,
     certify,
@@ -23,6 +26,7 @@ from pwlham.model import LinearHamiltonianField, PiecewiseSystem
 from conftest import (
     CCC_PRODUCTS,
     CCC_TIMES,
+    CENTRE_ARCS,
     GOLDEN_CORNERS,
     random_continuous_three_zone,
     random_generic_three_zone,
@@ -179,6 +183,44 @@ def test_verification_rejects_bad_flight_time(examples, name, arc, time, failing
     report = verify_certificate(cert._replace(flight_times=tuple(times)), system)
     assert not report.passed
     assert failing <= {c.name for c in report.failures()}
+
+
+@pytest.mark.parametrize("name, arc", CENTRE_ARCS)
+def test_verification_rejects_a_time_a_revolution_late(examples, name, arc):
+    """A centre arc's time plus one revolution, with the period to match,
+    fails the first-arrival check and no other; a time off by part of a
+    revolution also misses the next corner."""
+    system = examples[name]
+    cert = find_limit_cycle(system)
+    turn = math.tau / system.field(ARC_ZONES[arc]).singularity.modulus
+    for shift, failing in (
+        (turn, {"flight_times_first_arrival"}),
+        (0.3 * turn, {"flight_times_first_arrival", "arc_endpoints"}),
+    ):
+        times = list(cert.flight_times)
+        times[arc] += shift
+        tampered = cert._replace(flight_times=tuple(times), period=sum(times))
+        failed = {c.name for c in verify_certificate(tampered, system).failures()}
+        assert failed == failing, shift
+
+
+def test_survey_certificates_verify():
+    """Each cycle certified among the systems scripts/random_survey.py draws
+    at --seed 0 --count 20000 passes verify."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_survey.py"
+    random_field = runpy.run_path(str(script))["random_field"]
+    rng = random.Random(0)
+    certified = 0
+    for _ in range(20000):
+        system = PiecewiseSystem.three_zone(
+            random_field(rng), random_field(rng), random_field(rng)
+        )
+        cert = certify(system, samples_per_arc=2).certificate
+        if cert is not None:
+            certified += 1
+            report = verify_certificate(cert, system)
+            assert report.passed, report.failures()
+    assert certified == 5
 
 
 def test_certify_classifies_each_zone_field_once(monkeypatch):

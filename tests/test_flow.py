@@ -336,22 +336,34 @@ def test_flight_time_matches_bracketed_refinement():
         checked += 1
 
 
-def test_refinement_finds_the_root_from_an_offset_start():
+def test_cross_check_holds_a_time_within_its_tolerance(examples):
+    """On the fixture arcs and 300 random arcs, a closed-form time moved by
+    k * CROSS_CHECK_TOL * (1 + t) passes the cross-check for |k| <= 0.9 and
+    fails it for |k| >= 1.1."""
+    arcs = []
+    for system in examples.values():
+        cert = find_limit_cycle(system)
+        ends = cert.corners[1:] + cert.corners[:1]
+        for zone, start, end, t in zip(ARC_ZONES, cert.corners, ends, cert.flight_times):
+            arcs.append((system.field(zone), start, end[0], t))
+    fixture_arcs = len(arcs)
     rng = random.Random(62)
-    checked = 0
-    while checked < 300:
+    while len(arcs) < fixture_arcs + 300:
         field = random_field(rng)
         s0 = rng.choice((-1.0, 0.0, 1.0))
         s1 = rng.choice((-1.0, 0.0, 1.0))
         p0 = (s0, rng.uniform(-3.0, 3.0))
         try:
-            t = flight_time(field, p0, s1)
+            arcs.append((field, p0, s1, flight_time(field, p0, s1)))
         except (NeverReaches, TangentialContact):
             continue
-        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -4.0)
-        t_ref = refine_flight_time(field, p0, s1, t + offset)
-        assert abs(t - t_ref) <= 1e-10 * (1.0 + t)
-        checked += 1
+    for field, p0, s1, t in arcs:
+        tau = flow.CROSS_CHECK_TOL * (1.0 + t)
+        for k in (0.0, 0.5, -0.5, 0.9, -0.9):
+            refine_flight_time(field, p0, s1, t + k * tau)
+        for k in (1.1, -1.1, 2.0, -2.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6):
+            with pytest.raises(ArithmeticError, match="cross-check"):
+                refine_flight_time(field, p0, s1, t + k * tau)
 
 
 def test_cross_check_rejects_an_off_closed_form(monkeypatch):

@@ -673,6 +673,32 @@ def test_whole_steps_stop_at_the_time_resolution(examples, monkeypatch):
     assert str(info.value).endswith("of t = 4, before t_max = 100")
 
 
+def test_a_step_along_its_own_line_is_no_event(monkeypatch):
+    """At tol = 1e-60 the slow centre's steps leave x = 1 unchanged: such a
+    step starts and ends on the right line without meeting it again.  With
+    no progress the run spends its single-step budget and raises."""
+    lines = (("L", -1.0), ("R", 1.0))
+    assert poincare._crossed_line(lines, 1.0, 1.0) is None
+    assert poincare._crossed_line(lines, 0.5, 1.0) == ("R", 1.0)
+    slow = PiecewiseSystem.three_zone(*[F(0.0, 0.1, -0.1, 0.0, 0.0)] * 3)
+    y, t = first_return(slow, 0.5)
+    assert (y, t) == (pytest.approx(0.5), pytest.approx(20.0 * math.pi))
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", 1 << 10)
+    with pytest.raises(ValueError, match="within 1024 single steps"):
+        first_return(slow, 0.5, tol=1e-60)
+
+
+def test_recorded_states_are_capped(ccc, monkeypatch):
+    """A recorded run takes each step one by one, so it holds at most
+    SINGLE_STEPS_MAX states past its start; one that needs more raises."""
+    full = integrate_numeric(ccc, (1.5, 1.0), 10.0)
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", len(full.states) - 1)
+    assert integrate_numeric(ccc, (1.5, 1.0), 10.0) == full
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", len(full.states) - 2)
+    with pytest.raises(ValueError, match="single steps"):
+        integrate_numeric(ccc, (1.5, 1.0), 10.0)
+
+
 def test_zone_table_is_derived_once_per_system(examples, monkeypatch):
     # fixed_point_near runs several return maps on one system; each zone's
     # step map is derived at the first of them only.
