@@ -379,9 +379,13 @@ def _tolerance(text: str) -> float:
 
 
 def _sample_count(text: str) -> int:
+    # The polyline keeps 4 * samples points; the cap is the budget of states
+    # a recorded orbit keeps.
     samples = int(text)
-    if samples < 2:
-        raise argparse.ArgumentTypeError("sample count must be at least 2")
+    if not 2 <= samples <= poincare.SINGLE_STEPS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"sample count must be at least 2 and at most {poincare.SINGLE_STEPS_MAX}"
+        )
     return samples
 
 

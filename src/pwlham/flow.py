@@ -153,7 +153,18 @@ def classify_boundary_point(
     system: PiecewiseSystem, p: Point, line_id: str
 ) -> CrossingClassification:
     """Classify a switching-line point by its one-sided x-velocities."""
-    line_x, minus_field, plus_field = system.line_fields(line_id)
+    return classify_contact(line_id, *system.line_fields(line_id), p)
+
+
+def classify_contact(
+    line_id: str,
+    line_x: float,
+    minus_field: LinearHamiltonianField,
+    plus_field: LinearHamiltonianField,
+    p: Point,
+) -> CrossingClassification:
+    """Classify a point on the line x = line_x by the x-velocities of the
+    fields on its x < line and x > line sides, with no layout lookup."""
     if abs(p[0] - line_x) > ON_LINE_TOL:
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"

@@ -3,12 +3,17 @@
 Orbits are integrated with the classical fixed-step fourth-order Runge-Kutta
 scheme, one zone at a time.  On an affine zone field one RK4 step is the
 order-4 Taylor polynomial of the flow in the step length, so a whole step is
-an affine map, one per zone, built once per system and tolerance
-(_zone_table).  The first step that leaves the zone's strip, or ends at the
-time budget, is evaluated once on its quartic in its length; if it crosses a
-switching line, the crossing time is localized by safeguarded Newton on that
-quartic minus the line's abscissa, inside the step.  The orbit is handed to
-the adjacent zone only when the contact classifies as a crossing.
+an affine map, one per zone.  A zone table, built once per system and
+tolerance (_zone_table), holds all a run reads of the system: the step
+length, the time past which a step no longer advances, the return map's
+section, and per zone its field, strip, step map and exits, each exit being
+a bounding line with the two fields that classify a contact there and the
+zones on its two sides.  So no event looks a line or zone up.  The first
+step that leaves the zone's strip, or ends at the time budget, is evaluated
+once on its quartic in its length; if it crosses a switching line, the
+crossing time is localized by safeguarded Newton on that quartic minus the
+line's abscissa, inside the step.  The orbit is handed to the zone beyond the
+exit only when the contact classifies as a crossing (flow.classify_contact).
 The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
@@ -36,7 +41,7 @@ from typing import IO, NamedTuple, Optional
 from .flow import (
     CrossingClassification,
     FlowState,
-    classify_boundary_point,
+    classify_contact,
     quadratic_roots,
 )
 from .model import PiecewiseSystem, Point
@@ -140,26 +145,6 @@ def _base_step(system: PiecewiseSystem, tol: float) -> float:
     return min(0.5 * tol ** 0.25, 0.2 / max(fastest, MODULUS_FLOOR))
 
 
-def _initial_zone(system: PiecewiseSystem, p: Point) -> str:
-    """Zone owning the start point; points on a line must cross into a zone."""
-    layout = system.layout
-    for line_id, line_x in layout.switching_lines:
-        if p[0] == line_x:
-            cls = classify_boundary_point(system, p, line_id)
-            if cls.label != "crossing":
-                raise SlidingEncountered(
-                    f"start point {p} on line {line_id} is {cls.label}",
-                    Trajectory((), ()),
-                )
-            minus_zone, plus_zone = layout.zones_beside(line_id)
-            return plus_zone if cls.derivative_plus > 0.0 else minus_zone
-    for zone_id in layout.zone_ids:
-        lo, hi = layout.zone_interval(zone_id)
-        if lo < p[0] < hi:
-            return zone_id
-    raise ValueError(f"point {p} belongs to no zone")
-
-
 def _step_map(field, h: float) -> tuple:
     """The RK4 step of length h as p -> p + E p + e, and the constants of its
     powers: (E00, E01, E10, E11, e_x, e_y, a, b, c, D, p1, r, c_x, c_y, speed,
@@ -195,7 +180,8 @@ def _step_map(field, h: float) -> tuple:
     else:
         # h sigma <= 0.2 (_base_step), so 0 < lam_down < 1 < lam_up.
         speed = math.sqrt(d)
-        shape = (math.log1p(p1 + r * speed), math.log1p(p1 - r * speed))
+        log_up = math.log1p(p1 + r * speed)
+        shape = (log_up, math.log1p(p1 - r * speed), int(RUN_GROWTH_MAX / log_up))
     return (
         p1 + r * a, r * b, r * c, p1 - r * a, ex, ey,
         a, b, c, d, p1, r, cx, cy, speed, shape,
@@ -244,15 +230,11 @@ def _centre_run(shape, x_lo, x_hi, ux, v, cap):
 def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
     """_run_length about a saddle, with the shrunk strip taken about c_x:
     x_j - c_x = A lam_up^j + B lam_down^j, A = (ux + v)/2, B = (ux - v)/2."""
-    log_up, log_down = shape
+    log_up, log_down, growth_cap = shape
     if not x_lo < ux < x_hi:
         return 0
     up, down = 0.5 * (ux + v), 0.5 * (ux - v)
-
-    def inside(s: float) -> bool:
-        return x_lo < up * math.exp(s * log_up) + down * math.exp(s * log_down) < x_hi
-
-    k = min(cap, int(RUN_GROWTH_MAX / log_up))
+    k = min(cap, growth_cap)
     # First crossing of a shrunk line, estimated from A w + B / w = X with
     # w = lam_up^s, since lam_up lam_down = 1 + O((h sigma)^6).
     for reach in (x_lo, x_hi):
@@ -265,9 +247,17 @@ def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
     extremum = 0.0
     if up * down > 0.0:
         extremum = math.log(-down * log_down / (up * log_up)) / (log_up - log_down)
-    while k > 0 and not (inside(k) and (not 0.0 < extremum < k or inside(extremum))):
+    while k > 0 and not (
+        x_lo < _saddle_x(shape, up, down, k) < x_hi
+        and (not 0.0 < extremum < k or x_lo < _saddle_x(shape, up, down, extremum) < x_hi)
+    ):
         k //= 2
     return max(k, 0)
+
+
+def _saddle_x(shape, up: float, down: float, s: float) -> float:
+    """A lam_up^s + B lam_down^s, the abscissa about c_x after s steps."""
+    return up * math.exp(s * shape[0]) + down * math.exp(s * shape[1])
 
 
 def _jump_powers(step: tuple, k: int) -> tuple[float, float]:
@@ -318,14 +308,14 @@ def _jump(entry: tuple, k: int, x: float, y: float) -> Point:
     )
 
 
-def _step_quartics(field, p: Point) -> tuple[tuple[float, ...], ...]:
-    """Coefficients in tau of both coordinates of the RK4 step of length tau.
+def _step_quartics(field, p: Point, d: float) -> tuple[tuple[float, ...], ...]:
+    """Coefficients in tau of both coordinates of the RK4 step of length tau,
+    for the field's D = a^2 + b*c, which the zone's step map keeps.
 
     The step is p + tau v1 + tau^2/2 v2 + tau^3/6 v3 + tau^4/24 v4, with
     v1 = F(p) and v(k+1) = M v(k); M^2 = D I gives v3 = D v1, v4 = D v2.
     """
     a, b, c = field.a, field.b, field.c
-    d = field.linear_determinant()
     x, y = p
     v1x = a * x + b * y + field.alpha
     v1y = c * x - a * y + field.beta
@@ -342,15 +332,17 @@ def _quartic(coefficients: tuple[float, ...], tau: float) -> float:
     return c0 + tau * (c1 + tau * (c2 + tau * (c3 + tau * c4)))
 
 
-def _crossed_line(lines, x: float, x_next: float) -> Optional[tuple[str, float]]:
-    """First bounding line the abscissa crosses (or lands on) from x to x_next."""
-    for line_id, line_x in lines:
+def _crossed_line(exits: tuple, x: float, x_next: float) -> Optional[tuple]:
+    """Exit record (line id and abscissa first) of the first bounding line the
+    abscissa crosses (or lands on) from x to x_next."""
+    for line in exits:
+        line_x = line[1]
         g_end = x_next - line_x
         # g_end == 0 exactly: a step from off the line lands on it; localize
         # it as an event rather than silently stepping past.  A step that
         # starts on the line and ends there has not met it again.
         if (x - line_x) * g_end < 0.0 or (g_end == 0.0 and x != line_x):
-            return line_id, line_x
+            return line
     return None
 
 
@@ -361,20 +353,74 @@ def _section(system: PiecewiseSystem) -> tuple[str, float, str]:
     return line_id, line_x, system.layout.zone_ids[-1]
 
 
+class _ZoneTable(NamedTuple):
+    """What a run reads of its system and tolerance (see _zone_table)."""
+
+    h_base: float
+    zones: dict
+    t_whole: float
+    section: tuple
+    lines: tuple
+
+
 @functools.lru_cache(maxsize=8)
-def _zone_table(system: PiecewiseSystem, tol: float) -> tuple[float, dict]:
-    """h_base, and per zone its field, its strip, the lines bounding the strip
-    (zone i lies between lines i - 1 and i), its _step_map at h_base and the
-    jump powers of its runs by length, filled as _jump meets them; kept, as
-    fixed_point runs many return maps on one unchanging system."""
+def _zone_table(system: PiecewiseSystem, tol: float) -> _ZoneTable:
+    """Everything a run reads of its system and tolerance, derived once and
+    kept, as fixed_point runs many return maps on one unchanging system.
+
+    ``h_base`` is the RK4 step; a step advances t while t < ``t_whole`` =
+    2^53 times the largest power of two not above h_base.  ``lines`` holds
+    each switching line's exit record, left to right: (line id, abscissa,
+    the fields on its x < and x > sides, the zones on those sides), all that
+    classify_contact and the handoff to the next zone read.  ``zones`` maps
+    each zone to its field, its strip, the exit records of the lines bounding
+    the strip (zone i lies between lines i - 1 and i), its _step_map at
+    h_base and the jump powers of its runs by length, filled as _jump meets
+    them.  ``section`` is the return map's: (_section's line, abscissa and
+    outer right zone, and the line's exit record).
+    """
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError("tol must be positive and finite")
     h_base = _base_step(system, tol)
     layout = system.layout
-    lines = layout.switching_lines
-    return h_base, {
+    lines = tuple(
+        (line_id, *system.line_fields(line_id), *layout.zones_beside(line_id))
+        for line_id, _ in layout.switching_lines
+    )
+    zones = {
         zone_id: (field, *layout.zone_interval(zone_id), lines[max(i - 1, 0) : i + 1],
                   _step_map(field, h_base), {})
         for i, (zone_id, field) in enumerate(zip(layout.zone_ids, system.fields))
     }
+    section_id, section_x, outer = _section(system)
+    section_line = next(line for line in lines if line[0] == section_id)
+    section = (section_id, section_x, outer, section_line)
+    t_whole = math.ldexp(1.0, math.frexp(h_base)[1] + 52)
+    return _ZoneTable(h_base, zones, t_whole, section, lines)
+
+
+def _initial_zone(table: _ZoneTable, p: Point) -> str:
+    """Zone owning the start point; points on a line must cross into a zone."""
+    for line in table.lines:
+        if p[0] == line[1]:
+            return _entered_zone(line, p)
+    for zone_id, entry in table.zones.items():
+        if entry[1] < p[0] < entry[2]:
+            return zone_id
+    raise ValueError(f"point {p} belongs to no zone")
+
+
+def _entered_zone(line: tuple, p: Point) -> str:
+    """Zone that a start point p on a line crosses into, given the line's
+    exit record (see _zone_table)."""
+    line_id, line_x, minus_field, plus_field, minus_zone, plus_zone = line
+    cls = classify_contact(line_id, line_x, minus_field, plus_field, p)
+    if cls.label != "crossing":
+        raise SlidingEncountered(
+            f"start point {p} on line {line_id} is {cls.label}",
+            Trajectory((), ()),
+        )
+    return plus_zone if cls.derivative_plus > 0.0 else minus_zone
 
 
 def integrate_numeric(
@@ -386,16 +432,17 @@ def integrate_numeric(
 ) -> Trajectory:
     """Integrate the piecewise orbit from x0 for up to t_max time units.
 
-    Whole RK4 steps apply each zone's affine step map, built once per system
-    and tolerance (_zone_table), while the next abscissa stays strictly
-    inside the zone's strip.  The first step that
-    leaves the strip, or ends at t_max, is evaluated once on the step's
-    quartic in its length.  If it reaches a switching line, the crossing
-    time is found inside that step by safeguarded Newton on the quartic, to
-    EVENT_TOL, and recorded in order.  A crossing hands the orbit to the
-    neighbouring zone, while a sliding/escaping/tangential contact raises
-    SlidingEncountered (with the partial trajectory attached).  A step that
-    would end at a state that is not finite ends the run instead, so every
+    Whole RK4 steps apply each zone's affine step map, read with the zone's
+    exits from the table built once per system and tolerance (_zone_table),
+    while the next abscissa stays strictly inside the zone's strip.  The
+    first step that leaves the strip, or ends at t_max, is evaluated once on
+    the step's quartic in its length.  If it reaches a switching line, the
+    crossing time is found inside that step by safeguarded Newton on the
+    quartic, to EVENT_TOL, and recorded in order.  A crossing hands the orbit
+    to the zone beyond the exit, while a sliding/escaping/tangential contact
+    raises SlidingEncountered (with the partial trajectory attached: its
+    events, and its states unless it is a return map).  A step that would
+    end at a state that is not finite ends the run instead, so every
     returned state is finite.
     With ``until_return`` the run is the return map: x0 lies on the section
     and must enter the outer right zone, no states are recorded, and the
@@ -412,26 +459,26 @@ def integrate_numeric(
     jumps, and the steps evaluated on their quartic.  So a recorded
     trajectory holds at most SINGLE_STEPS_MAX states past its start.
     """
-    if not 0.0 < tol < math.inf:  # also rejects nan
-        raise ValueError("tol must be positive and finite")
-    zone = _initial_zone(system, x0)
-    section, section_x, outer = _section(system)
+    table = _zone_table(system, tol)
+    h_base, zones, t_whole, (section, section_x, outer, section_exit), _ = table
+    if until_return and x0[0] == section_x:
+        zone = _entered_zone(section_exit, x0)
+    else:
+        zone = _initial_zone(table, x0)
     if until_return and zone != outer:
         raise NoReturn(f"start point {x0} crosses {section} leftward, off the section")
-    h_base, zones = _zone_table(system, tol)
-    # A step advances t while ulp(t) <= h_base, that is for t below 2^53
-    # times the largest power of two not above h_base.
-    t_whole = min(t_max, math.ldexp(1.0, math.frexp(h_base)[1] + 52))
+    t_whole = min(t_max, t_whole)
     singles_left = SINGLE_STEPS_MAX
 
     t = 0.0
     p = x0
-    states: list[FlowState] = [FlowState(p, t, zone)]
+    # A return map records no states.
+    states: list[FlowState] = [] if until_return else [FlowState(p, t, zone)]
     events: list[SwitchEvent] = []
 
     while t < t_max:
         entry = zones[zone]
-        field, lo, hi, zone_lines, step = entry[:5]
+        field, lo, hi, exits, step, _ = entry
         e00, e01, e10, e11, ex, ey = step[:6]
         x, y = p
         singles = SINGLE_STEPS
@@ -469,7 +516,7 @@ def integrate_numeric(
             )
         singles_left -= 1
 
-        x_quartic, y_quartic = _step_quartics(field, p)
+        x_quartic, y_quartic = _step_quartics(field, p, step[9])
         x_end = _quartic(x_quartic, h)
         y_end = _quartic(y_quartic, h)
         if not (math.isfinite(x_end) and math.isfinite(y_end)):
@@ -479,20 +526,20 @@ def integrate_numeric(
             if not until_return and not math.isfinite(y):
                 states.pop()
             break
-        crossing_line = _crossed_line(zone_lines, x, x_end)
-        if crossing_line is None:
+        line = _crossed_line(exits, x, x_end)
+        if line is None:
             t += h
             p = (x_end, y_end)
             if not until_return:
                 states.append(FlowState(p, t, zone))
             continue
 
-        line_id, line_x = crossing_line
+        line_id, line_x, minus_field, plus_field, minus_zone, plus_zone = line
         offset = (x - line_x, *x_quartic[1:])
         tau = _locate_event(offset, h, x_end - line_x)
         p_event: Point = (line_x, _quartic(y_quartic, tau))  # snap onto the line
         t += tau
-        cls = classify_boundary_point(system, p_event, line_id)
+        cls = classify_contact(line_id, line_x, minus_field, plus_field, p_event)
         events.append(SwitchEvent(t, p_event, line_id, cls))
         if not until_return:
             states.append(FlowState(p_event, t, zone))
@@ -502,7 +549,6 @@ def integrate_numeric(
                 f"(t = {t:g})",
                 Trajectory(tuple(states), tuple(events)),
             )
-        minus_zone, plus_zone = system.layout.zones_beside(line_id)
         zone = plus_zone if cls.derivative_plus > 0.0 else minus_zone
         p = p_event
         if until_return and line_id == section and zone == outer:
@@ -551,7 +597,7 @@ def first_return(
     line moving rightward again; NoReturn if it starts leftward or never
     returns.
     """
-    start: Point = (_section(system)[1], y)
+    start: Point = (_zone_table(system, tol).section[1], y)
     trajectory = integrate_numeric(system, start, RETURN_T_MAX, tol, until_return=True)
     return (trajectory.events[-1].point[1], trajectory.events[-1].time)
 

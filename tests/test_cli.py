@@ -17,6 +17,7 @@ from pwlham.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     FIXTURE_NAMES,
+    _sample_count,
     build_parser,
     bundle_examples,
     fixture_text,
@@ -515,6 +516,23 @@ def test_invalid_options_exit_2(ccc_path, tmp_path):
         except SystemExit as exc:  # rejected by the argument parser
             code = exc.code
         assert code == EXIT_INPUT_ERROR, argv
+
+
+def test_sample_count_is_capped_at_the_step_budget(ccc_path, tmp_path, monkeypatch, capsys):
+    """A polyline of 4 * samples points past poincare.SINGLE_STEPS_MAX
+    samples per arc is refused at parse time, before any arc is sampled."""
+    cap = poincare.SINGLE_STEPS_MAX
+    assert cap == 1 << 20
+    assert _sample_count(str(cap)) == cap
+    sampled = []
+    monkeypatch.setattr(flow, "orbit_samples", lambda *args: sampled.append(args))
+    svg = tmp_path / "huge.svg"
+    argv = ["plot", "--input", str(ccc_path), "--output", str(svg), "--samples", str(cap + 1)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_INPUT_ERROR
+    assert f"at most {cap}" in capsys.readouterr().err
+    assert sampled == [] and not svg.exists()
 
 
 def test_a_recording_past_the_step_budget_exits_2(ccc_path, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import io
 import math
 import random
@@ -15,6 +16,7 @@ from pwlham.model import (
     LinearHamiltonianField,
     PiecewiseSystem,
     Point,
+    ZoneLayout,
     hamiltonian_value,
 )
 from pwlham.poincare import (
@@ -110,7 +112,7 @@ def test_one_orbit_takes_pinned_work(examples, monkeypatch, name):
     step_quartics = poincare._step_quartics
     monkeypatch.setattr(
         poincare, "_step_quartics",
-        lambda field, p: checked.append(p) or step_quartics(field, p),
+        lambda field, p, d: checked.append(p) or step_quartics(field, p, d),
     )
     first_return(system, cert.corners[0][1])
     assert len(checked) == events
@@ -210,6 +212,20 @@ def test_jumped_return_map_matches_step_by_step(examples, monkeypatch):
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (y, system.fields)
 
 
+# SHA-256 over the repr of every _return_outcome on _equivalence_probes.
+RETURN_MAP_DIGEST = "395e645015a62c8b633e0e1f265b1b155a98eff97bf51d083758d9031eb27b48"
+
+
+def test_return_map_is_pinned_bit_for_bit(examples):
+    # The oracle goldens compare printed floats, so a change of the last bit
+    # of one return map may move them; every return's (y, t) is pinned here.
+    digest = hashlib.sha256()
+    for system, y in _equivalence_probes(examples):
+        digest.update(repr(_return_outcome(system, y)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == RETURN_MAP_DIGEST
+
+
 @pytest.mark.parametrize("overshoot", [1e-4, 1e-6, 1e-8, -1e-8, -1e-4])
 @pytest.mark.parametrize(
     "field",
@@ -280,7 +296,8 @@ def test_step_map_is_the_rk4_step(examples):
     for system in systems:
         h = poincare._base_step(system, DEFAULT_TOL)
         for field in system.fields:
-            e00, e01, e10, e11, ex, ey = poincare._step_map(field, h)[:6]
+            step = poincare._step_map(field, h)
+            e00, e01, e10, e11, ex, ey = step[:6]
             for _ in range(1000):
                 x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
                 got = (x + (e00 * x + e01 * y + ex), y + (e10 * x + e11 * y + ey))
@@ -290,7 +307,7 @@ def test_step_map_is_the_rk4_step(examples):
                     assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y)
                 # The checked step, a partial last step included, runs on
                 # the step's quartic in its length.
-                quartics = poincare._step_quartics(field, (x, y))
+                quartics = poincare._step_quartics(field, (x, y), step[9])
                 for tau in (h, h / 3.0, h / 64.0):
                     got = tuple(poincare._quartic(q, tau) for q in quartics)
                     want = _rk4_step(field, (x, y), tau)
@@ -317,9 +334,9 @@ def test_event_newton_root_matches_bisected_rk4_step(ccc, monkeypatch):
     starts, roots = [], []
     step_quartics, locate_event = poincare._step_quartics, poincare._locate_event
 
-    def record_start(field, p):
+    def record_start(field, p, d):
         starts.append((field, p))
-        return step_quartics(field, p)
+        return step_quartics(field, p, d)
 
     def record_root(offset, h, g_end):
         tau = locate_event(offset, h, g_end)
@@ -356,9 +373,9 @@ def test_overflowing_orbit_ends_at_its_last_finite_state(index, monkeypatch):
     checked = []
     step_quartics = poincare._step_quartics
 
-    def counted(field, p):
+    def counted(field, p, d):
         checked.append(p)
-        return step_quartics(field, p)
+        return step_quartics(field, p, d)
 
     monkeypatch.setattr(poincare, "_step_quartics", counted)
     trajectory = integrate_numeric(system, (1.5, 1.0), t_max=10.0)
@@ -711,6 +728,37 @@ def test_zone_table_is_derived_once_per_system(examples, monkeypatch):
     system = examples["CCC"]
     fixed_point_near(system, GOLDEN_CORNERS["CCC"][0])
     assert derived == list(system.fields)
+
+
+def test_return_map_reads_its_layout_from_the_zone_table(examples, monkeypatch):
+    # After a system's first return map, the section, each zone's exits, the
+    # fields that classify a contact and the zones beyond it are all read
+    # from the zone table: no later map looks a line or zone up.
+    looked_up = []
+    for owner, name in (
+        (ZoneLayout, "zones_beside"),
+        (PiecewiseSystem, "line_fields"),
+        (poincare, "_section"),
+        (poincare, "_initial_zone"),
+    ):
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name,
+            lambda *args, name=name, original=original: looked_up.append(name)
+            or original(*args),
+        )
+    poincare._zone_table.cache_clear()
+    outcomes = set()
+    for name, system in sorted(examples.items()):
+        y0 = GOLDEN_CORNERS[name][0]
+        first_return(system, y0)
+        assert looked_up, name
+        looked_up.clear()
+        fixed_point_near(system, y0)
+        # Leftward starts, and starts whose orbits slide or never return.
+        outcomes |= {_return_outcome(system, y0 + 0.05 * k)[0] for k in range(-40, 41)}
+        assert looked_up == [], (name, looked_up)
+    assert outcomes == {"return", "no return", "slide"}
 
 
 def _doubled_jump(step: tuple, k: int, x: float, y: float) -> Point:
