@@ -306,23 +306,23 @@ def _cmd_plot(args: argparse.Namespace, system: PiecewiseSystem) -> int:
         polyline, corners = certificate.polyline, certificate.corners
     else:
         # No isolated cycle: plot a sample orbit for context.
-        polyline, corners = _sample_orbit(system, args.tol), ()
+        polyline, corners = _sample_orbit(system), ()
     render_svg(polyline, corners, args.window, args.output or PLOT_OUTPUT, system)
     return EXIT_OK
 
 
-def _sample_orbit(system: PiecewiseSystem, tol: float) -> list[Point]:
+def _sample_orbit(system: PiecewiseSystem) -> list[Point]:
     """A representative orbit for systems without a certified cycle.
 
-    Starts strictly inside the rightmost zone; an orbit that runs into a
-    sliding segment is plotted up to that point, one that overflows up to
-    its last finite state (where integrate_numeric ends it).
+    Starts strictly inside the rightmost zone, at the default tol; an orbit
+    that runs into a sliding segment is plotted up to that point, one that
+    overflows up to its last finite state (where integrate_numeric ends it).
     """
     x_start = system.layout.switching_lines[-1][1] + 0.5
     for y_start in (1.0, -1.0, 2.0, 0.5, 3.0):
         try:
             trajectory = poincare.integrate_numeric(
-                system, (x_start, y_start), t_max=10.0, tol=tol
+                system, (x_start, y_start), t_max=10.0
             )
         except poincare.SlidingEncountered as exc:
             trajectory = exc.trajectory
@@ -372,7 +372,10 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
 
 
 def _tolerance(text: str) -> float:
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a number") from None
     if not 0.0 < tol < float("inf"):  # also rejects nan
         raise argparse.ArgumentTypeError("tolerance must be positive and finite")
     return tol
@@ -381,7 +384,12 @@ def _tolerance(text: str) -> float:
 def _sample_count(text: str) -> int:
     # The polyline keeps 4 * samples points; the cap is the budget of states
     # a recorded orbit keeps.
-    samples = int(text)
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sample count {text!r} is not a whole number"
+        ) from None
     if not 2 <= samples <= poincare.SINGLE_STEPS_MAX:
         raise argparse.ArgumentTypeError(
             f"sample count must be at least 2 and at most {poincare.SINGLE_STEPS_MAX}"
@@ -417,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", required=True, help="system definition JSON")
         default_output = PLOT_OUTPUT if name == "plot" else "stdout"
         cmd.add_argument("--output", help=f"output file (default: {default_output})")
-        if name in ("oracle", "plot"):
-            cmd.add_argument("--tol", type=_tolerance, default=poincare.DEFAULT_TOL,
-                             help="numerical integration tolerance")
         if name == "plot":
             cmd.add_argument("--samples", type=_sample_count,
                              default=cycle.DEFAULT_SAMPLES_PER_ARC,
@@ -427,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--window", type=_parse_window,
                              help="plot window x0,x1,y0,y1")
         if name == "oracle":
+            cmd.add_argument("--tol", type=_tolerance, default=poincare.DEFAULT_TOL,
+                             help="numerical integration tolerance")
             cmd.add_argument("--trajectory-csv",
                              help="also dump the cycle trajectory as CSV")
         if name == "verify":

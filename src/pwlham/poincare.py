@@ -5,15 +5,16 @@ scheme, one zone at a time.  On an affine zone field one RK4 step is the
 order-4 Taylor polynomial of the flow in the step length, so a whole step is
 an affine map, one per zone.  A zone table, built once per system and
 tolerance (_zone_table), holds all a run reads of the system: the step
-length, the time past which a step no longer advances, the return map's
-section, and per zone its field, strip, step map and exits, each exit being
-a bounding line with the two fields that classify a contact there and the
-zones on its two sides.  So no event looks a line or zone up.  The first
-step that leaves the zone's strip, or ends at the time budget, is evaluated
-once on its quartic in its length; if it crosses a switching line, the
-crossing time is localized by safeguarded Newton on that quartic minus the
-line's abscissa, inside the step.  The orbit is handed to the zone beyond the
-exit only when the contact classifies as a crossing (flow.classify_contact).
+length, the time past which a step no longer advances, and per zone its
+field, strip, step map and exits, each exit being a bounding line's record
+with the two fields that classify a contact there and the zones on its two
+sides; the last record, the right line's, is the return map's section.  So
+no event looks a line or zone up.  The first step that leaves the zone's
+strip, or ends at the time budget, is evaluated once on its quartic in its
+length; if it crosses a switching line, the crossing time is localized by
+safeguarded Newton on that quartic minus the line's abscissa, inside the
+step.  The orbit is handed to the zone beyond the exit only when the
+contact classifies as a crossing (flow.classify_contact).
 The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
@@ -61,9 +62,6 @@ EVENT_TOL = 1e-12
 # It also stops only once the next Newton correction is within
 # EVENT_WIDTH_TOL * max(h, 1), for a step of length h.
 EVENT_WIDTH_TOL = 1e-10
-
-# The step-size cap divides by the fastest zone modulus, floored at this.
-MODULUS_FLOOR = 1e-6
 
 # A run of whole steps is jumped only where each of its abscissae provably
 # stays RUN_MARGIN * (1 + |c_x| + the orbit's size about c) inside the strip,
@@ -142,7 +140,7 @@ def _base_step(system: PiecewiseSystem, tol: float) -> float:
     per-step rotation/growth angle modest in stiff-ish zones.
     """
     fastest = max(f.singularity.modulus for f in system.fields)
-    return min(0.5 * tol ** 0.25, 0.2 / max(fastest, MODULUS_FLOOR))
+    return min(0.5 * tol ** 0.25, 0.2 / fastest)
 
 
 def _step_map(field, h: float) -> tuple:
@@ -346,38 +344,23 @@ def _crossed_line(exits: tuple, x: float, x_next: float) -> Optional[tuple]:
     return None
 
 
-def _section(system: PiecewiseSystem) -> tuple[str, float, str]:
-    """The return map's section: the right switching line, its abscissa and
-    the outer right zone, which a start or return on it must enter."""
-    line_id, line_x = system.layout.switching_lines[-1]
-    return line_id, line_x, system.layout.zone_ids[-1]
-
-
-class _ZoneTable(NamedTuple):
-    """What a run reads of its system and tolerance (see _zone_table)."""
-
-    h_base: float
-    zones: dict
-    t_whole: float
-    section: tuple
-    lines: tuple
-
-
 @functools.lru_cache(maxsize=8)
-def _zone_table(system: PiecewiseSystem, tol: float) -> _ZoneTable:
+def _zone_table(system: PiecewiseSystem, tol: float) -> tuple:
     """Everything a run reads of its system and tolerance, derived once and
-    kept, as fixed_point runs many return maps on one unchanging system.
+    kept, as fixed_point runs many return maps on one unchanging system:
+    (h_base, zones, t_whole, lines).
 
     ``h_base`` is the RK4 step; a step advances t while t < ``t_whole`` =
     2^53 times the largest power of two not above h_base.  ``lines`` holds
     each switching line's exit record, left to right: (line id, abscissa,
     the fields on its x < and x > sides, the zones on those sides), all that
-    classify_contact and the handoff to the next zone read.  ``zones`` maps
-    each zone to its field, its strip, the exit records of the lines bounding
-    the strip (zone i lies between lines i - 1 and i), its _step_map at
-    h_base and the jump powers of its runs by length, filled as _jump meets
-    them.  ``section`` is the return map's: (_section's line, abscissa and
-    outer right zone, and the line's exit record).
+    classify_contact and the handoff to the next zone read.  The last exit
+    record, the right line's, is the return map's section, and its x > zone
+    is the outer right zone that a start or return on it must enter.
+    ``zones`` maps each zone to its field, its strip, the exit records of the
+    lines bounding the strip (zone i lies between lines i - 1 and i), its
+    _step_map at h_base and the jump powers of its runs by length, filled as
+    _jump meets them.
     """
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError("tol must be positive and finite")
@@ -392,19 +375,16 @@ def _zone_table(system: PiecewiseSystem, tol: float) -> _ZoneTable:
                   _step_map(field, h_base), {})
         for i, (zone_id, field) in enumerate(zip(layout.zone_ids, system.fields))
     }
-    section_id, section_x, outer = _section(system)
-    section_line = next(line for line in lines if line[0] == section_id)
-    section = (section_id, section_x, outer, section_line)
     t_whole = math.ldexp(1.0, math.frexp(h_base)[1] + 52)
-    return _ZoneTable(h_base, zones, t_whole, section, lines)
+    return h_base, zones, t_whole, lines
 
 
-def _initial_zone(table: _ZoneTable, p: Point) -> str:
+def _initial_zone(zones: dict, lines: tuple, p: Point) -> str:
     """Zone owning the start point; points on a line must cross into a zone."""
-    for line in table.lines:
+    for line in lines:
         if p[0] == line[1]:
             return _entered_zone(line, p)
-    for zone_id, entry in table.zones.items():
+    for zone_id, entry in zones.items():
         if entry[1] < p[0] < entry[2]:
             return zone_id
     raise ValueError(f"point {p} belongs to no zone")
@@ -459,12 +439,12 @@ def integrate_numeric(
     jumps, and the steps evaluated on their quartic.  So a recorded
     trajectory holds at most SINGLE_STEPS_MAX states past its start.
     """
-    table = _zone_table(system, tol)
-    h_base, zones, t_whole, (section, section_x, outer, section_exit), _ = table
+    h_base, zones, t_whole, lines = _zone_table(system, tol)
+    section, section_x, *_, outer = lines[-1]
     if until_return and x0[0] == section_x:
-        zone = _entered_zone(section_exit, x0)
+        zone = _entered_zone(lines[-1], x0)
     else:
-        zone = _initial_zone(table, x0)
+        zone = _initial_zone(zones, lines, x0)
     if until_return and zone != outer:
         raise NoReturn(f"start point {x0} crosses {section} leftward, off the section")
     t_whole = min(t_max, t_whole)
@@ -597,7 +577,8 @@ def first_return(
     line moving rightward again; NoReturn if it starts leftward or never
     returns.
     """
-    start: Point = (_zone_table(system, tol).section[1], y)
+    section_x = _zone_table(system, tol)[3][-1][1]
+    start: Point = (section_x, y)
     trajectory = integrate_numeric(system, start, RETURN_T_MAX, tol, until_return=True)
     return (trajectory.events[-1].point[1], trajectory.events[-1].time)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +308,23 @@ def test_plot_without_cycle_draws_sample_orbit(continuous_path, tmp_path):
     assert text.count(" Z\"") == 0  # open orbit, not a closed cycle path
 
 
+def test_plot_of_a_sliding_orbit_ends_where_it_slides(tmp_path):
+    # L and C push right (x' = x + 5), so the sample orbit from (1.5, 1)
+    # around R's centre (2, 0) slides on the line x = 1 at (1, -0.5), at
+    # t ~ 3 pi / 2; its path is drawn up to there and left open.
+    push = {"a": "1", "b": "0", "c": "0", "alpha": "5", "beta": "0"}
+    centre = {"a": "0", "b": "1", "c": "-1", "alpha": "0", "beta": "2"}
+    path = tmp_path / "sliding.json"
+    path.write_text(json.dumps({"layout": "three", "zones": [push, push, centre]}))
+    svg = tmp_path / "sliding.svg"
+    assert main(["plot", "--input", str(path), "--output", str(svg)]) == EXIT_OK
+    text = svg.read_text(encoding="utf-8")
+    line_pixel = re.findall(r'<line x1="([0-9.]+)"', text)[-1]  # Σ_R, x = 1
+    orbit = re.search(r'<path d="M ([^"]*)"', text).group(1)
+    assert " Z" not in orbit
+    assert orbit.rsplit(" L ", 1)[1].split()[0] == line_pixel
+
+
 def test_plot_of_an_overflowing_orbit_has_no_nan(tmp_path, capsys):
     # Saddles with a = 300 outside a centre strip: the sample orbit
     # overflows after about 2.4 time units, at state 3547 of 15002.
@@ -499,7 +517,7 @@ def test_render_svg_rejects_empty_polyline(tmp_path):
 def test_invalid_options_exit_2(ccc_path, tmp_path):
     svg = str(tmp_path / "bad.svg")
     for argv in (
-        ["plot", "--tol", "-1"],
+        ["plot", "--tol", "1e-9"],  # only oracle integrates at a set tol
         ["oracle", "--tol", "nan"],
         ["oracle", "--tol", "inf"],
         ["oracle", "--tol", "1e-60"],  # its RK4 step is too short to return
@@ -516,6 +534,17 @@ def test_invalid_options_exit_2(ccc_path, tmp_path):
         except SystemExit as exc:  # rejected by the argument parser
             code = exc.code
         assert code == EXIT_INPUT_ERROR, argv
+
+
+def test_unparsable_numbers_are_named_by_their_option(ccc_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for argv in (["plot", "--samples", "abc"], ["oracle", "--tol", "abc"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--input", str(ccc_path), "--output", out])
+        assert info.value.code == EXIT_INPUT_ERROR, argv
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument {argv[1]}: " in message and "'abc'" in message, message
+        assert not re.search(r"\b_[a-z]", message), message  # no private name
 
 
 def test_sample_count_is_capped_at_the_step_budget(ccc_path, tmp_path, monkeypatch, capsys):
@@ -669,10 +698,12 @@ def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
     assert bad_key in capsys.readouterr().err
 
 
-# Generic zones beside one outer zone whose b and affine factor vanish.
+# Generic zones beside one or two outer zones whose b and affine factor
+# vanish, and an L zone with b = 0 whose affine factor does not.
 _GENERIC = {"a": "3/10", "b": "6/5", "c": "7/10", "alpha": "-2/5", "beta": "9/10"}
 _R_FLAT = {"a": "1", "b": "0", "c": "2", "alpha": "-1", "beta": "1/2"}
 _L_FLAT = {"a": "1", "b": "0", "c": "2", "alpha": "1", "beta": "1/2"}
+_L_TILTED = {"a": "1", "b": "0", "c": "2", "alpha": "2", "beta": "1/2"}
 _C_COLLAPSE = {"a": "1", "b": "0", "c": "-3/2", "alpha": "1", "beta": "1/5"}
 _C_AFFINE = {"a": "1", "b": "0", "c": "-3/2", "alpha": "2", "beta": "1/5"}
 _C_CURVED = {"a": "1/10", "b": "2", "c": "-3/2", "alpha": "4/5", "beta": "1/5"}
@@ -713,9 +744,29 @@ _C_CURVED = {"a": "1/10", "b": "2", "c": "-3/2", "alpha": "4/5", "beta": "1/5"}
             "description": "L-zone equation vanishes identically, b_R b_C != 0",
             "has_parametrization": False,
         }),
+        ((_L_FLAT, _C_COLLAPSE, _R_FLAT), {
+            "outcome": "no_solution",
+            "reason": "all of b_R, a_R + alpha_R, b_L, a_L - alpha_L, b_C, "
+                      "alpha_C - a_C vanish: corners collapse",
+        }),
+        ((_L_FLAT, _C_AFFINE, _R_FLAT), {
+            "outcome": "continuum",
+            "description": "outer equations vanish, degenerate inner equations "
+                           "leave free ordinates",
+            "has_parametrization": False,
+        }),
+        ((_L_FLAT, _C_CURVED, _R_FLAT), {
+            "outcome": "continuum",
+            "description": "outer equations vanish identically, b_C != 0",
+            "has_parametrization": False,
+        }),
+        ((_L_TILTED, _C_CURVED, _GENERIC), {
+            "outcome": "no_solution",
+            "reason": "b_L = 0 with a_L - alpha_L != 0",
+        }),
     ],
     ids=["R-collapse", "L-collapse", "R-affine", "L-affine", "R-vanishes",
-         "L-vanishes"],
+         "L-vanishes", "both-collapse", "both-affine", "both-vanish", "L-tilted"],
 )
 def test_solve_one_vanishing_outer_zone(tmp_path, zones, expected):
     path = tmp_path / "system.json"

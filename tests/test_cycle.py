@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from pwlham import model
+from pwlham import closure, model
 from pwlham.cli import fixture_text
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
     ARC_ZONES,
+    RESIDUAL_TOL,
     certificate_from_json_dict,
     certificate_to_json_dict,
     certify,
@@ -232,6 +233,18 @@ def test_certify_classifies_each_zone_field_once(monkeypatch):
     system = model.system_from_json_dict(json.loads(fixture_text("CCC")))
     assert certify(system).certificate is not None
     assert len(calls) == 3
+
+
+def test_candidate_with_a_closure_residual_is_rejected(ccc, monkeypatch):
+    # Every arc of CCC's candidate lands where it should, so only the
+    # residual check can reject it once the residuals read above RESIDUAL_TOL.
+    monkeypatch.setattr(
+        closure, "residuals_three_zone", lambda *args: (0.0, 10.0 * RESIDUAL_TOL)
+    )
+    result = certify(ccc)
+    assert isinstance(result.outcome, UniqueCycleCandidate)
+    assert result.certificate is None
+    assert result.reason.startswith("closure residual"), result.reason
 
 
 def test_rejection_reason_for_non_crossing_candidate():

@@ -738,7 +738,6 @@ def test_return_map_reads_its_layout_from_the_zone_table(examples, monkeypatch):
     for owner, name in (
         (ZoneLayout, "zones_beside"),
         (PiecewiseSystem, "line_fields"),
-        (poincare, "_section"),
         (poincare, "_initial_zone"),
     ):
         original = getattr(owner, name)
