@@ -279,8 +279,13 @@ def _cmd_oracle(args: argparse.Namespace, system: PiecewiseSystem) -> int:
     agreement_tol = poincare.ORACLE_AGREEMENT_TOL
     agrees = y_gap <= agreement_tol and t_gap <= agreement_tol
     if args.trajectory_csv:
+        t_max = cert.period * 1.0001
+        # The recording follows a crossing cycle, so it ends at t_max, not at
+        # a slide or an overflow: a step budget it cannot meet is refused
+        # before it stores a state.
+        poincare.check_step_budget(system, t_max, args.tol)
         trajectory = poincare.integrate_numeric(
-            system, cert.corners[0], t_max=cert.period * 1.0001, tol=args.tol
+            system, cert.corners[0], t_max=t_max, tol=args.tol
         )
         with open(args.trajectory_csv, "w", encoding="utf-8") as fh:
             poincare.trajectory_to_csv(trajectory, fh)

@@ -173,15 +173,17 @@ def classify_contact(
     x, y = p
     d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
     d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
+    return CrossingClassification(contact_label(d_minus, d_plus), d_minus, d_plus)
+
+
+def contact_label(d_minus: float, d_plus: float) -> str:
+    """Kind of contact on a switching line whose x-velocities are d_minus on
+    its x < line side and d_plus on its x > line side."""
     if abs(d_minus) <= TANGENCY_TOL or abs(d_plus) <= TANGENCY_TOL:
-        label = "tangency"
-    elif d_minus * d_plus > 0.0:
-        label = "crossing"
-    elif d_minus > 0.0:
-        label = "sliding"
-    else:
-        label = "escaping"
-    return CrossingClassification(label, d_minus, d_plus)
+        return "tangency"
+    if d_minus * d_plus > 0.0:
+        return "crossing"
+    return "sliding" if d_minus > 0.0 else "escaping"
 
 
 def _required_arrival_sign(

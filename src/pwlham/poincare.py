@@ -14,7 +14,7 @@ strip, or ends at the time budget, is evaluated once on its quartic in its
 length; if it crosses a switching line, the crossing time is localized by
 safeguarded Newton on that quartic minus the line's abscissa, inside the
 step.  The orbit is handed to the zone beyond the exit only when the
-contact classifies as a crossing (flow.classify_contact).
+contact classifies as a crossing (flow.contact_label).
 The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import IO, NamedTuple, Optional
+from typing import IO, NamedTuple
 
 from .flow import (
     CrossingClassification,
     FlowState,
     classify_contact,
+    contact_label,
     quadratic_roots,
 )
 from .model import PiecewiseSystem, Point
@@ -306,42 +307,9 @@ def _jump(entry: tuple, k: int, x: float, y: float) -> Point:
     )
 
 
-def _step_quartics(field, p: Point, d: float) -> tuple[tuple[float, ...], ...]:
-    """Coefficients in tau of both coordinates of the RK4 step of length tau,
-    for the field's D = a^2 + b*c, which the zone's step map keeps.
-
-    The step is p + tau v1 + tau^2/2 v2 + tau^3/6 v3 + tau^4/24 v4, with
-    v1 = F(p) and v(k+1) = M v(k); M^2 = D I gives v3 = D v1, v4 = D v2.
-    """
-    a, b, c = field.a, field.b, field.c
-    x, y = p
-    v1x = a * x + b * y + field.alpha
-    v1y = c * x - a * y + field.beta
-    v2x = a * v1x + b * v1y
-    v2y = c * v1x - a * v1y
-    return (
-        (x, v1x, v2x / 2.0, d * v1x / 6.0, d * v2x / 24.0),
-        (y, v1y, v2y / 2.0, d * v1y / 6.0, d * v2y / 24.0),
-    )
-
-
 def _quartic(coefficients: tuple[float, ...], tau: float) -> float:
     c0, c1, c2, c3, c4 = coefficients
     return c0 + tau * (c1 + tau * (c2 + tau * (c3 + tau * c4)))
-
-
-def _crossed_line(exits: tuple, x: float, x_next: float) -> Optional[tuple]:
-    """Exit record (line id and abscissa first) of the first bounding line the
-    abscissa crosses (or lands on) from x to x_next."""
-    for line in exits:
-        line_x = line[1]
-        g_end = x_next - line_x
-        # g_end == 0 exactly: a step from off the line lands on it; localize
-        # it as an event rather than silently stepping past.  A step that
-        # starts on the line and ends there has not met it again.
-        if (x - line_x) * g_end < 0.0 or (g_end == 0.0 and x != line_x):
-            return line
-    return None
 
 
 @functools.lru_cache(maxsize=8)
@@ -354,9 +322,9 @@ def _zone_table(system: PiecewiseSystem, tol: float) -> tuple:
     2^53 times the largest power of two not above h_base.  ``lines`` holds
     each switching line's exit record, left to right: (line id, abscissa,
     the fields on its x < and x > sides, the zones on those sides), all that
-    classify_contact and the handoff to the next zone read.  The last exit
-    record, the right line's, is the return map's section, and its x > zone
-    is the outer right zone that a start or return on it must enter.
+    a contact's classification and the handoff to the next zone read.  The
+    last exit record, the right line's, is the return map's section, and its
+    x > zone is the outer right zone that a start or return on it must enter.
     ``zones`` maps each zone to its field, its strip, the exit records of the
     lines bounding the strip (zone i lies between lines i - 1 and i), its
     _step_map at h_base and the jump powers of its runs by length, filled as
@@ -418,15 +386,18 @@ def integrate_numeric(
     first step that leaves the strip, or ends at t_max, is evaluated once on
     the step's quartic in its length.  If it reaches a switching line, the
     crossing time is found inside that step by safeguarded Newton on the
-    quartic, to EVENT_TOL, and recorded in order.  A crossing hands the orbit
-    to the zone beyond the exit, while a sliding/escaping/tangential contact
-    raises SlidingEncountered (with the partial trajectory attached: its
-    events, and its states unless it is a return map).  A step that would
-    end at a state that is not finite ends the run instead, so every
-    returned state is finite.
+    quartic, to EVENT_TOL, and its contact is classified by the two one-sided
+    x-velocities there (flow.contact_label).  A crossing hands the orbit to
+    the zone beyond the exit, while a sliding/escaping/tangential contact
+    raises SlidingEncountered with the partial trajectory attached.  A step
+    that would end at a state that is not finite ends the run instead, so
+    every returned state is finite.  A recorded run keeps every state and
+    every event in order.
     With ``until_return`` the run is the return map: x0 lies on the section
-    and must enter the outer right zone, no states are recorded, and the
-    run ends at the first event on the section that enters that zone again.
+    and must enter the outer right zone, and the run ends at the first event
+    on the section that enters that zone again.  It records no states and
+    keeps only the event it ends at, that return or the contact at which it
+    raises SlidingEncountered.
     Its whole steps are jumped in runs that provably stay inside the strip
     (_run_length, _jump), with SINGLE_STEPS whole steps one by one after each
     zone entry and each jump.
@@ -451,16 +422,15 @@ def integrate_numeric(
     singles_left = SINGLE_STEPS_MAX
 
     t = 0.0
-    p = x0
-    # A return map records no states.
-    states: list[FlowState] = [] if until_return else [FlowState(p, t, zone)]
+    x, y = x0
+    # A return map records no states, and keeps only the event it ends at.
+    states: list[FlowState] = [] if until_return else [FlowState(x0, t, zone)]
     events: list[SwitchEvent] = []
 
     while t < t_max:
         entry = zones[zone]
         field, lo, hi, exits, step, _ = entry
-        e00, e01, e10, e11, ex, ey = step[:6]
-        x, y = p
+        e00, e01, e10, e11, ex, ey, a, b, c, d = step[:10]
         singles = SINGLE_STEPS
         while singles_left and h_base <= t_whole - t:
             if until_return and not singles:
@@ -480,7 +450,6 @@ def integrate_numeric(
             singles_left -= 1
             if not until_return:
                 states.append(FlowState((x, y), t, zone))
-        p = (x, y)
         h = min(h_base, t_max - t)
         if h <= 0.0:
             break  # t_max reached
@@ -490,15 +459,20 @@ def integrate_numeric(
                 f"time resolution of t = {t:g}, before t_max = {t_max:g}"
             )
         if not singles_left:
-            raise ValueError(
-                f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, too short "
-                f"to end the run within {SINGLE_STEPS_MAX} single steps"
-            )
+            raise _budget_error(tol, h_base)
         singles_left -= 1
 
-        x_quartic, y_quartic = _step_quartics(field, p, step[9])
-        x_end = _quartic(x_quartic, h)
-        y_end = _quartic(y_quartic, h)
+        # The step of length tau is p + tau v1 + tau^2/2 v2 + tau^3/6 v3 +
+        # tau^4/24 v4, with v1 = F(p) and v(k+1) = M v(k); M^2 = D I gives
+        # v3 = D v1 and v4 = D v2.  Each coordinate is a quartic in tau.
+        v1x = a * x + b * y + field.alpha
+        v1y = c * x - a * y + field.beta
+        v2x = a * v1x + b * v1y
+        v2y = c * v1x - a * v1y
+        x2, x3, x4 = v2x / 2.0, d * v1x / 6.0, d * v2x / 24.0
+        y2, y3, y4 = v2y / 2.0, d * v1y / 6.0, d * v2y / 24.0
+        x_end = x + h * (v1x + h * (x2 + h * (x3 + h * x4)))
+        y_end = y + h * (v1y + h * (y2 + h * (y3 + h * y4)))
         if not (math.isfinite(x_end) and math.isfinite(y_end)):
             # The orbit overflows and ends at its last finite state.  Whole
             # steps stop at an abscissa that is not finite, so at most the
@@ -506,37 +480,68 @@ def integrate_numeric(
             if not until_return and not math.isfinite(y):
                 states.pop()
             break
-        line = _crossed_line(exits, x, x_end)
-        if line is None:
+        # The first bounding line the abscissa crosses, or lands on from off
+        # it: a step that starts on a line and ends there has not met it again.
+        for line in exits:
+            line_x = line[1]
+            g_end = x_end - line_x
+            if (x - line_x) * g_end < 0.0 or (g_end == 0.0 and x != line_x):
+                break
+        else:
             t += h
-            p = (x_end, y_end)
+            x, y = x_end, y_end
             if not until_return:
-                states.append(FlowState(p, t, zone))
+                states.append(FlowState((x, y), t, zone))
             continue
 
         line_id, line_x, minus_field, plus_field, minus_zone, plus_zone = line
-        offset = (x - line_x, *x_quartic[1:])
-        tau = _locate_event(offset, h, x_end - line_x)
-        p_event: Point = (line_x, _quartic(y_quartic, tau))  # snap onto the line
+        tau = _locate_event((x - line_x, v1x, x2, x3, x4), h, g_end)
+        # The event is snapped onto the line.
+        x, y = line_x, y + tau * (v1y + tau * (y2 + tau * (y3 + tau * y4)))
         t += tau
-        cls = classify_contact(line_id, line_x, minus_field, plus_field, p_event)
-        events.append(SwitchEvent(t, p_event, line_id, cls))
+        # The one-sided x-velocities that classify_contact compares.
+        d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
+        d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
+        label = contact_label(d_minus, d_plus)
         if not until_return:
-            states.append(FlowState(p_event, t, zone))
-        if cls.label != "crossing":
+            states.append(FlowState((x, y), t, zone))
+        zone = plus_zone if d_plus > 0.0 else minus_zone
+        returned = until_return and line_id == section and zone == outer
+        if label != "crossing" or returned or not until_return:
+            contact = CrossingClassification(label, d_minus, d_plus)
+            events.append(SwitchEvent(t, (x, y), line_id, contact))
+        if label != "crossing":
             raise SlidingEncountered(
-                f"{cls.label} contact at {p_event} on line {line_id} "
-                f"(t = {t:g})",
+                f"{label} contact at {(x, y)} on line {line_id} (t = {t:g})",
                 Trajectory(tuple(states), tuple(events)),
             )
-        zone = plus_zone if cls.derivative_plus > 0.0 else minus_zone
-        p = p_event
-        if until_return and line_id == section and zone == outer:
+        if returned:
             return Trajectory((), tuple(events))
 
     if until_return:
         raise NoReturn(f"no rightward return to x = {section_x:g} within t = {t_max:g}")
     return Trajectory(tuple(states), tuple(events))
+
+
+def check_step_budget(
+    system: PiecewiseSystem, t_max: float, tol: float = DEFAULT_TOL
+) -> None:
+    """Raise integrate_numeric's single-step budget ValueError before any
+    step when a recorded run that neither slides nor overflows cannot reach
+    t_max within SINGLE_STEPS_MAX steps.  Each step advances t by at most
+    h_base, so after that many steps t is at most SINGLE_STEPS_MAX * h_base,
+    up to the rounding of as many additions (below SINGLE_STEPS_MAX * 2^-52
+    relative)."""
+    h_base = _zone_table(system, tol)[0]
+    if t_max > SINGLE_STEPS_MAX * h_base * (1.0 + SINGLE_STEPS_MAX * 2.0**-52):
+        raise _budget_error(tol, h_base)
+
+
+def _budget_error(tol: float, h_base: float) -> ValueError:
+    return ValueError(
+        f"tol {tol:g} gives the RK4 step h_base = {h_base:g}, too short "
+        f"to end the run within {SINGLE_STEPS_MAX} single steps"
+    )
 
 
 def _locate_event(offset: tuple[float, ...], h: float, g_end: float) -> float:
@@ -571,7 +576,9 @@ def _locate_event(offset: tuple[float, ...], h: float, g_end: float) -> float:
 def first_return(
     system: PiecewiseSystem, y: float, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
-    """Return ordinate and return time of the orbit started at (1, y).
+    """Return ordinate and return time of the orbit started at (x, y) on the
+    section, x being the right switching line's abscissa (1 for three zones,
+    0 for two).
 
     The orbit is followed through zone handoffs until it crosses the right
     line moving rightward again; NoReturn if it starts leftward or never

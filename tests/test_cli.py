@@ -350,6 +350,11 @@ def test_plot_window_and_errors(ccc_path, tmp_path):
     code = main(["plot", "--input", str(ccc_path), "--output", str(svg),
                  "--window=-3,3,-3,3"])
     assert code == EXIT_OK
+    # A window that leaves the left line x = -1 out draws the right one only.
+    code = main(["plot", "--input", str(ccc_path), "--output", str(svg),
+                 "--window", "0,3,-3,3"])
+    assert code == EXIT_OK
+    assert svg.read_text(encoding="utf-8").count("stroke-dasharray") == 1
     # Empty window is an input error.
     code = main(["plot", "--input", str(ccc_path), "--output", str(svg),
                  "--window", "3,-3,0,1"])
@@ -566,16 +571,35 @@ def test_sample_count_is_capped_at_the_step_budget(ccc_path, tmp_path, monkeypat
 
 def test_a_recording_past_the_step_budget_exits_2(ccc_path, tmp_path, monkeypatch, capsys):
     """plot's sample orbit and oracle's trajectory dump record one state per
-    step; past poincare.SINGLE_STEPS_MAX steps they exit 2 and write nothing."""
+    step; past poincare.SINGLE_STEPS_MAX steps they exit 2 and write nothing.
+    The dump follows the certified crossing cycle for 1.0001 periods, so it
+    is refused before it records a state, and a budget it fits exactly
+    records all of it."""
+    recorded = []
+    integrate = poincare.integrate_numeric
+    monkeypatch.setattr(
+        poincare, "integrate_numeric",
+        lambda *args, until_return=False, **kwargs: recorded.append(until_return)
+        or integrate(*args, until_return=until_return, **kwargs),
+    )
     monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", 100)
     svg, csv = tmp_path / "orbit.svg", tmp_path / "orbit.csv"
+    oracle = ["oracle", "--input", str(ccc_path), "--trajectory-csv", str(csv)]
     for argv in (
         ["plot", "--input", str(GOLDEN / "two_zone.input.json"), "--output", str(svg)],
-        ["oracle", "--input", str(ccc_path), "--trajectory-csv", str(csv)],
+        oracle,
     ):
+        recorded.clear()
         assert main(argv) == EXIT_INPUT_ERROR, argv
         assert "within 100 single steps" in capsys.readouterr().err, argv
     assert not svg.exists() and not csv.exists()
+    assert recorded and all(recorded)  # the oracle ran return maps only
+    # 756 whole steps and 4 events (ORBIT_WORK in test_poincare.py).
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", 760)
+    recorded.clear()
+    assert main(oracle) == EXIT_OK
+    assert recorded.count(False) == 1
+    assert len(csv.read_text().splitlines()) == 1 + 761
 
 
 def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
@@ -683,9 +707,12 @@ def test_oracle_unbracketed_y0_is_a_mismatch(tmp_path, monkeypatch, capsys, name
         (lambda doc: {**doc, "period": "inf"}, "period"),
         (lambda doc: {k: v for k, v in doc.items() if k != "flight_times"},
          "flight_times"),
+        (lambda doc: {**doc, "crossings": {}},
+         "certificate.crossings must be a JSON array"),
     ],
     ids=["root-array", "null-corners", "crossing-not-object", "text-period",
-         "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times"],
+         "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times",
+         "crossings-object"],
 )
 def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                                               tamper, bad_key):
@@ -696,6 +723,65 @@ def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                  "--certificate", str(cert_path)])
     assert code == EXIT_INPUT_ERROR
     assert bad_key in capsys.readouterr().err
+
+
+def _ccc_with(zones):
+    """CCC's document with its zone list passed through zones."""
+    doc = json.loads(fixture_text("CCC"))
+    return {**doc, "zones": zones(doc["zones"])}
+
+
+def _ccc_zone_c(**coefficients):
+    """CCC's document with coefficients of zone C replaced."""
+    return _ccc_with(lambda zones: [zones[0], {**zones[1], **coefficients}, zones[2]])
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["plot", "--window", "1,2,3"], None,
+         "argument --window: window must be x0,x1,y0,y1"),
+        (["plot", "--window", "a,b,c,d"], None,
+         "argument --window: bad window 'a,b,c,d'"),
+        (["classify"], _ccc_with(lambda zones: [1, 2, 3]),
+         "error: zone L: expected an object"),
+        (["classify"], _ccc_with(lambda zones: [
+            {k: v for k, v in zones[0].items() if k != "beta"}, *zones[1:]]),
+         "error: zone L: missing keys ['beta']"),
+        (["classify"], _ccc_zone_c(a=True),
+         "error: zone C, field 'a': expected a number, got True"),
+        (["classify"], _ccc_zone_c(b=[1]),
+         "error: zone C, field 'b': expected a number, got list"),
+    ],
+    ids=["window-three-values", "window-not-numbers", "zone-not-object",
+         "zone-missing-beta", "bool-coefficient", "list-coefficient"],
+)
+def test_outside_input_exits_2_with_its_reason(
+    ccc_path, tmp_path, capsys, argv, doc, message
+):
+    path = ccc_path
+    if doc is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    try:
+        code = main([*argv, "--input", str(path), "--output", str(out)])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+    assert not out.exists()
+
+
+def test_a_certificate_for_a_two_zone_system_exits_2(ccc_path, tmp_path, capsys):
+    cert_path = tmp_path / "ccc.certificate.json"
+    assert main(["cycle", "--input", str(ccc_path), "--output", str(cert_path)]) == EXIT_OK
+    code = main(["verify", "--input", str(GOLDEN / "two_zone.input.json"),
+                 "--certificate", str(cert_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: certificates only exist for three-zone systems\n"
+    )
 
 
 # Generic zones beside one or two outer zones whose b and affine factor

@@ -266,6 +266,18 @@ def test_solve_three_zone_continuous_is_continuum():
             assert max(map(abs, r)) <= 1e-9
 
 
+def test_continuous_family_needs_a_real_radicand():
+    # The family's left-line pair solves a quadratic whose radicand is
+    # -7.75 at y1 = 0 on this system, and real at y1 = 1.
+    system = model.load_system(str(GOLDEN / "continuous.input.json"))
+    out = solve(system)
+    assert isinstance(out, Continuum)
+    assert out.parametrization(1.0) == (-2.5, 1.0, -0.5)
+    with pytest.raises(ValueError) as info:
+        out.parametrization(0.0)
+    assert str(info.value) == "no real companion ordinates at y1 = 0 (radicand -7.75)"
+
+
 def test_solve_three_zone_continuous_b_zero_has_no_solution():
     rng = random.Random(41)
     for _ in range(10):

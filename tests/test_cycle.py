@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlham import closure, model
+from pwlham import closure, flow, model
 from pwlham.cli import fixture_text
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
@@ -203,6 +203,21 @@ def test_verification_rejects_a_time_a_revolution_late(examples, name, arc):
         tampered = cert._replace(flight_times=tuple(times), period=sum(times))
         failed = {c.name for c in verify_certificate(tampered, system).failures()}
         assert failed == failing, shift
+
+
+def test_verification_rejects_an_arc_with_no_first_arrival(ccc):
+    # From the R field's tangency ordinate on x = 1 the R arc has no first
+    # arrival at its target line: the first-arrival gap reads infinite.
+    cert = find_limit_cycle(ccc)
+    field = ccc.field("R")
+    y_tangent = -(field.a + field.alpha) / field.b
+    (x0, _), *rest = cert.corners
+    with pytest.raises((flow.NeverReaches, flow.TangentialContact)):
+        flow.flight_time(field, (x0, y_tangent), 1.0)
+    report = verify_certificate(cert._replace(corners=((x0, y_tangent), *rest)), ccc)
+    (check,) = [c for c in report.checks if c.name == "flight_times_first_arrival"]
+    assert not check.passed
+    assert check.measured == math.inf
 
 
 def test_survey_certificates_verify():

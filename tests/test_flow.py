@@ -300,6 +300,18 @@ def test_flight_time_never_reaches_center():
         flight_time(field, (0.0, 0.5), -1.0)
 
 
+@pytest.mark.parametrize(
+    "coefficients, roots",
+    [((0.0, 0.0, 0.0), []), ((1e-20, 1.0, 2.0), [-2.0]), ((1.0, 0.0, 0.0), [0.0])],
+    ids=["vanishes", "linear", "double-zero"],
+)
+def test_quadratic_roots_degenerate_cases(coefficients, roots):
+    # No isolated root when the quadratic vanishes identically; the root of
+    # the linear part when the leading coefficient is negligible; a double
+    # root at 0 when only the leading term is left.
+    assert flow.quadratic_roots(*coefficients) == roots
+
+
 def test_flight_time_never_reaches_saddle():
     # (y, x) from (1, 1) runs along y = x to +infinity, away from x = -1.
     field = F(0.0, 1.0, 1.0, 0.0, 0.0)

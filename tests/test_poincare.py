@@ -107,15 +107,19 @@ def test_one_orbit_takes_pinned_work(examples, monkeypatch, name):
     events = len(trajectory.events)
     steps = len(trajectory.states) - 1 - events
     assert (steps, events) == ORBIT_WORK[name]
-    # Each switching-line contact is one checked step on the step's quartic.
-    checked = []
-    step_quartics = poincare._step_quartics
+    # The return map meets each switching-line contact once, at one event
+    # located on its checked step, and keeps only the event it ends at.
+    located = []
+    locate_event = poincare._locate_event
     monkeypatch.setattr(
-        poincare, "_step_quartics",
-        lambda field, p, d: checked.append(p) or step_quartics(field, p, d),
+        poincare, "_locate_event",
+        lambda offset, h, g_end: located.append(h) or locate_event(offset, h, g_end),
     )
-    first_return(system, cert.corners[0][1])
-    assert len(checked) == events
+    trajectory = integrate_numeric(
+        system, cert.corners[0], poincare.RETURN_T_MAX, until_return=True
+    )
+    assert len(located) == events
+    assert [event.line for event in trajectory.events] == ["R"]
 
 
 def _count_jumped(monkeypatch) -> list[int]:
@@ -305,15 +309,55 @@ def test_step_map_is_the_rk4_step(examples):
                 scale = max(abs(x), abs(y), abs(want[0]), abs(want[1]))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y)
-                # The checked step, a partial last step included, runs on
-                # the step's quartic in its length.
-                quartics = poincare._step_quartics(field, (x, y), step[9])
-                for tau in (h, h / 3.0, h / 64.0):
-                    got = tuple(poincare._quartic(q, tau) for q in quartics)
-                    want = _rk4_step(field, (x, y), tau)
-                    scale = max(abs(x), abs(y), abs(want[0]), abs(want[1]))
-                    for g, w in zip(got, want):
-                        assert abs(g - w) <= 4.0 * math.ulp(scale), (field, x, y, tau)
+
+
+def test_checked_step_is_the_rk4_step(examples, monkeypatch):
+    # A recorded run shorter than one step takes one checked step of that
+    # length, evaluated on the step's quartic in its length: its end, or
+    # the event it meets, is the RK4 step of that length, and so is the
+    # abscissa quartic that the event's location solves, at any length.
+    rng = random.Random(7)
+    located = []
+    locate_event = poincare._locate_event
+
+    def record(offset, h, g_end):
+        located.append((offset, locate_event(offset, h, g_end)))
+        return located[-1][1]
+
+    monkeypatch.setattr(poincare, "_locate_event", record)
+    stiff = F(0.5, 2.0, -1.0, 1e6, -5e5)
+    fields = [f for system in examples.values() for f in system.fields] + [stiff]
+    events = 0
+    for field in fields:
+        system = PiecewiseSystem.three_zone(field, field, field)
+        h = poincare._base_step(system, DEFAULT_TOL)
+        for _ in range(100):
+            start = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+
+            def close(got, length, *coordinates):
+                want = _rk4_step(field, start, length)
+                ulp = 4.0 * math.ulp(max(*map(abs, start), *map(abs, want)))
+                for g, i in zip(got, coordinates):
+                    assert abs(g - want[i]) <= ulp, (field, start, length)
+
+            for tau in (h / 3.0, h / 64.0):
+                located.clear()
+                trajectory = integrate_numeric(system, start, tau)
+                if not trajectory.events:
+                    assert not located
+                    end = trajectory.states[-1]
+                    assert (len(trajectory.states), end.time) == (2, tau)
+                    close(end.point, tau, 0, 1)
+                    continue
+                events += 1
+                # The run goes on after its first event; that event is the
+                # checked step's.
+                offset, root = located[0]
+                line_x, y_event = trajectory.events[0].point
+                close((y_event,), root, 1)
+                for length in (root, h, h / 3.0, h / 64.0):
+                    close((poincare._quartic(offset, length) + line_x,), length, 0)
+    assert events > 0
 
 
 def _bisect_rk4_event(field, p, h, line_x):
@@ -331,25 +375,26 @@ def _bisect_rk4_event(field, p, h, line_x):
 
 
 def test_event_newton_root_matches_bisected_rk4_step(ccc, monkeypatch):
-    starts, roots = [], []
-    step_quartics, locate_event = poincare._step_quartics, poincare._locate_event
-
-    def record_start(field, p, d):
-        starts.append((field, p))
-        return step_quartics(field, p, d)
+    roots = []
+    locate_event = poincare._locate_event
 
     def record_root(offset, h, g_end):
         tau = locate_event(offset, h, g_end)
-        roots.append((starts[-1], h, tau))
+        roots.append((h, tau))
         return tau
 
-    monkeypatch.setattr(poincare, "_step_quartics", record_start)
     monkeypatch.setattr(poincare, "_locate_event", record_root)
     cert = find_limit_cycle(ccc)
     trajectory = integrate_numeric(ccc, cert.corners[0], t_max=cert.period * 1.0001)
     assert len(roots) == len(trajectory.events) == 4
+    # Each event's checked step starts at the state recorded before it.
+    states = trajectory.states
+    contacts = {(event.point, event.time) for event in trajectory.events}
+    before = [s for s, after in zip(states, states[1:]) if (after.point, after.time) in contacts]
+    assert len(before) == 4
     h_base = poincare._base_step(ccc, DEFAULT_TOL)
-    for event, ((field, p), h, tau) in zip(trajectory.events, roots):
+    for event, start, (h, tau) in zip(trajectory.events, before, roots):
+        field, p = ccc.field(start.zone), start.point
         line_x = ccc.layout.line_position(event.line)
         assert abs(tau - _bisect_rk4_event(field, p, h, line_x)) <= 1e-10 * h_base
         assert abs(_rk4_step(field, p, tau)[0] - line_x) <= EVENT_TOL
@@ -367,24 +412,27 @@ def _overflowing_systems():
     return [saddles, PiecewiseSystem.three_zone(steep, centre, steep)]
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["saddles", "ordinate"])
-def test_overflowing_orbit_ends_at_its_last_finite_state(index, monkeypatch):
+@pytest.mark.parametrize(
+    "index, dropped", [(0, 0), (1, 1)], ids=["saddles", "ordinate"]
+)
+def test_overflowing_orbit_ends_at_its_last_finite_state(index, dropped, monkeypatch):
     system = _overflowing_systems()[index]
-    checked = []
-    step_quartics = poincare._step_quartics
-
-    def counted(field, p, d):
-        checked.append(p)
-        return step_quartics(field, p, d)
-
-    monkeypatch.setattr(poincare, "_step_quartics", counted)
     trajectory = integrate_numeric(system, (1.5, 1.0), t_max=10.0)
     assert len(trajectory.states) > 100
     assert all(map(math.isfinite, (v for s in trajectory.states for v in s.point)))
     assert trajectory.states[-1].time < 10.0
-    assert len(checked) <= 10
     with pytest.raises(NoReturn, match=r"^no rightward return to x = 1 within t = 100$"):
         first_return(system, 5.0)
+    # The run ends at its first step that is not finite: it takes one step
+    # per state it keeps past its start, one for a last whole step whose
+    # ordinate overflowed (that state is dropped), and the checked step that
+    # overflows; so it fits that many single steps exactly.
+    budget = len(trajectory.states) - 1 + dropped + 1
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", budget)
+    assert integrate_numeric(system, (1.5, 1.0), t_max=10.0) == trajectory
+    monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", budget - 1)
+    with pytest.raises(ValueError, match="single steps"):
+        integrate_numeric(system, (1.5, 1.0), t_max=10.0)
 
 
 def test_energy_drift_within_each_zone_segment(ccc):
@@ -584,8 +632,8 @@ def test_sliding_halts_integration(examples):
     y0 = GOLDEN_CORNERS["SSC"][0]
     with pytest.raises(SlidingEncountered) as err:
         return_map(system, y0 - 0.05)
-    assert err.value.trajectory.events
-    last = err.value.trajectory.events[-1]
+    # A return map keeps only the event it ends at: here the contact.
+    last, = err.value.trajectory.events
     assert last.classification.label in ("sliding", "escaping", "tangency")
 
 
@@ -694,10 +742,20 @@ def test_a_step_along_its_own_line_is_no_event(monkeypatch):
     """At tol = 1e-60 the slow centre's steps leave x = 1 unchanged: such a
     step starts and ends on the right line without meeting it again.  With
     no progress the run spends its single-step budget and raises."""
-    lines = (("L", -1.0), ("R", 1.0))
-    assert poincare._crossed_line(lines, 1.0, 1.0) is None
-    assert poincare._crossed_line(lines, 0.5, 1.0) == ("R", 1.0)
     slow = PiecewiseSystem.three_zone(*[F(0.0, 0.1, -0.1, 0.0, 0.0)] * 3)
+    h = poincare._base_step(slow, 1e-60)
+    on_line = integrate_numeric(slow, (1.0, 0.5), 10.0 * h, tol=1e-60)
+    assert on_line.events == ()
+    assert [s.point[0] for s in on_line.states] == [1.0] * 11
+    # A step from off the line that lands on it exactly is an event: here
+    # x + h v1x = 1.5 - 0.5, as every higher term of the step's abscissa
+    # vanishes or falls below the rounding of v1x = -128.
+    tiny = 2.0**-36
+    drift = F(0.0, 1.0, -tiny, -128.0, 1.5 * tiny)
+    landing = integrate_numeric(
+        PiecewiseSystem.three_zone(drift, drift, drift), (1.5, 0.0), 2.0**-8
+    )
+    assert [(event.line, event.point[0]) for event in landing.events] == [("R", 1.0)]
     y, t = first_return(slow, 0.5)
     assert (y, t) == (pytest.approx(0.5), pytest.approx(20.0 * math.pi))
     monkeypatch.setattr(poincare, "SINGLE_STEPS_MAX", 1 << 10)
