@@ -23,12 +23,7 @@ from __future__ import annotations
 import math
 from typing import Literal, NamedTuple
 
-from .model import (
-    LinearHamiltonianField,
-    PiecewiseSystem,
-    Point,
-    vector_field_value,
-)
+from .model import LinearHamiltonianField, PiecewiseSystem, Point
 
 # |x-velocity| at or below this is a tangential contact.
 TANGENCY_TOL = 1e-10
@@ -39,18 +34,6 @@ ON_LINE_TOL = 1e-9
 # The flow must cross the target line within CROSS_CHECK_TOL * (1 + t) of a
 # closed-form flight time t.
 CROSS_CHECK_TOL = 1e-9
-
-# A center orbit of radius R about px reaches the line x = px + d while
-# |d| <= R * (1 + REACH_TOL) + TANGENCY_TOL.
-REACH_TOL = 1e-14
-
-# A center flight-time phase at or below this is the start itself; the
-# arrival is one full turn later.
-ZERO_PHASE_TOL = 1e-12
-
-# A saddle root w = exp(l t) counts as a positive time only above
-# 1 + SADDLE_START_TOL; nearer 1 it is the start itself.
-SADDLE_START_TOL = 1e-13
 
 # Negative discriminants above -CLAMP_TOL * scale are clamped to zero: a
 # tangency counts as a double root, which the arrival-velocity test of the
@@ -153,18 +136,7 @@ def classify_boundary_point(
     system: PiecewiseSystem, p: Point, line_id: str
 ) -> CrossingClassification:
     """Classify a switching-line point by its one-sided x-velocities."""
-    return classify_contact(line_id, *system.line_fields(line_id), p)
-
-
-def classify_contact(
-    line_id: str,
-    line_x: float,
-    minus_field: LinearHamiltonianField,
-    plus_field: LinearHamiltonianField,
-    p: Point,
-) -> CrossingClassification:
-    """Classify a point on the line x = line_x by the x-velocities of the
-    fields on its x < line and x > line sides, with no layout lookup."""
+    line_x, minus_field, plus_field = system.line_fields(line_id)
     if abs(p[0] - line_x) > ON_LINE_TOL:
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
@@ -186,36 +158,20 @@ def contact_label(d_minus: float, d_plus: float) -> str:
     return "sliding" if d_minus > 0.0 else "escaping"
 
 
-def _required_arrival_sign(
-    field: LinearHamiltonianField, p0: Point, s0: float, s1: float
-) -> float:
-    """Sign of x-velocity at an arrival that exits across the target line.
-
-    Travelling to a different line continues in the direction of travel;
-    returning to the starting line reverses the departure direction.
-    """
-    if s0 != s1:
-        return math.copysign(1.0, s1 - s0)
-    v0 = vector_field_value(field, p0)[0]
-    if abs(v0) <= TANGENCY_TOL:
-        raise TangentialContact(
-            "departure x-velocity vanishes; cannot orient the arc"
-        )
-    return -math.copysign(1.0, v0)
-
-
 def _center_flight_time(
     u: float, v: float, d: float, w: float, s1: float, required_sign: float
 ) -> float:
-    """Smallest positive root of x(t) = s1 with the required x-velocity sign.
+    """Smallest root t >= 0 of x(t) = s1 with the required x-velocity sign.
 
     Writing x(t) = px + R cos(w t - phi), roots come in the two families
     w t - phi = +/- acos(d / R) (mod 2 pi); the family with +acos has
     x'(t) <= 0 and the other x'(t) >= 0, so the required sign selects one
-    family and the smallest positive representative is the answer.
+    family and the smallest non-negative representative is the answer.  At
+    a start on the target line, a phase near 0 means both families nearly
+    meet there: a grazing arc, which refine_flight_time rejects.
     """
     radius = math.hypot(u, v)
-    if radius <= TANGENCY_TOL or abs(d) > radius * (1.0 + REACH_TOL) + TANGENCY_TOL:
+    if radius <= TANGENCY_TOL or abs(d) > radius + TANGENCY_TOL:
         raise NeverReaches(f"orbit x-range misses the line x = {s1:g}")
     cos_arg = max(-1.0, min(1.0, d / radius))
     psi = math.acos(cos_arg)
@@ -227,8 +183,6 @@ def _center_flight_time(
     angle = math.fmod(phi + theta, 2.0 * math.pi)
     if angle < 0.0:
         angle += 2.0 * math.pi
-    if angle <= ZERO_PHASE_TOL:
-        angle += 2.0 * math.pi
     return angle / w
 
 
@@ -239,9 +193,10 @@ def _saddle_flight_time(
     """Saddle-zone analogue via the substitution w = exp(l t).
 
     With u, v, d as in flight_time, x(t) - s1 = 0 becomes the quadratic
-    (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0);
-    when the start already sits on the target line, w = 1 is a root and is
-    deflated out exactly.  A grazing arc's clamped double root arrives with
+    (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0),
+    with no margin: a start on the target line has its own root w = 1
+    deflated out exactly, and a root just above 1 is left to
+    refine_flight_time.  A grazing arc's clamped double root arrives with
     zero x-velocity, a tangential contact.
     """
     if p0[0] == s1:
@@ -250,11 +205,12 @@ def _saddle_flight_time(
     else:
         roots = quadratic_roots(u + v, -2.0 * d, u - v)
 
-    times = sorted(math.log(w) / lam for w in roots if w > 1.0 + SADDLE_START_TOL)
+    times = sorted(math.log(w) / lam for w in roots if w > 1.0)
     if not times:
         raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
     for t in times:
-        vx = vector_field_value(field, flow_closed_form(field, p0, t))[0]
+        x, y = flow_closed_form(field, p0, t)
+        vx = field.a * x + field.b * y + field.alpha
         if abs(vx) <= TANGENCY_TOL:
             raise TangentialContact(f"arrival at x = {s1:g} is tangential")
         if vx * required_sign > 0.0:
@@ -302,7 +258,17 @@ def flight_time(
     CROSS_CHECK_TOL * (1 + t) of it.
     """
     s0, s1 = p0[0], float(target_x)
-    required_sign = _required_arrival_sign(field, p0, s0, s1)
+    # An arc to the other line exits in its direction of travel; an arc back
+    # to its starting line exits against its departure direction.
+    if s0 != s1:
+        required_sign = math.copysign(1.0, s1 - s0)
+    else:
+        v0 = field.a * p0[0] + field.b * p0[1] + field.alpha
+        if abs(v0) <= TANGENCY_TOL:
+            raise TangentialContact(
+                "departure x-velocity vanishes; cannot orient the arc"
+            )
+        required_sign = -math.copysign(1.0, v0)
     # Phase coordinates: x(t) - px = u cos(w t) + v sin(w t) for a center,
     # u cosh(l t) + v sinh(l t) for a saddle; the target is at px + d.
     kind, m, (px, py) = field.singularity

@@ -42,7 +42,6 @@ from typing import IO, NamedTuple
 from .flow import (
     CrossingClassification,
     FlowState,
-    classify_contact,
     contact_label,
     quadratic_roots,
 )
@@ -361,14 +360,17 @@ def _initial_zone(zones: dict, lines: tuple, p: Point) -> str:
 def _entered_zone(line: tuple, p: Point) -> str:
     """Zone that a start point p on a line crosses into, given the line's
     exit record (see _zone_table)."""
-    line_id, line_x, minus_field, plus_field, minus_zone, plus_zone = line
-    cls = classify_contact(line_id, line_x, minus_field, plus_field, p)
-    if cls.label != "crossing":
+    line_id, _, minus_field, plus_field, minus_zone, plus_zone = line
+    x, y = p
+    d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
+    d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
+    label = contact_label(d_minus, d_plus)
+    if label != "crossing":
         raise SlidingEncountered(
-            f"start point {p} on line {line_id} is {cls.label}",
+            f"start point {p} on line {line_id} is {label}",
             Trajectory((), ()),
         )
-    return plus_zone if cls.derivative_plus > 0.0 else minus_zone
+    return plus_zone if d_plus > 0.0 else minus_zone
 
 
 def integrate_numeric(
@@ -499,7 +501,7 @@ def integrate_numeric(
         # The event is snapped onto the line.
         x, y = line_x, y + tau * (v1y + tau * (y2 + tau * (y3 + tau * y4)))
         t += tau
-        # The one-sided x-velocities that classify_contact compares.
+        # The one-sided x-velocities that flow.classify_boundary_point compares.
         d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
         d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
         label = contact_label(d_minus, d_plus)

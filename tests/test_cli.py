@@ -73,6 +73,11 @@ def test_continuity_tolerance_scales_with_the_coefficients(tmp_path, capsys):
     }
 
 
+def test_unknown_fixture_name_raises_key_error():
+    with pytest.raises(KeyError, match="unknown fixture 'XYZ'"):
+        fixture_text("XYZ")
+
+
 def test_bundle_examples_names_and_coefficients():
     systems = dict(bundle_examples())
     assert tuple(systems) == FIXTURE_NAMES
@@ -709,10 +714,13 @@ def test_oracle_unbracketed_y0_is_a_mismatch(tmp_path, monkeypatch, capsys, name
          "flight_times"),
         (lambda doc: {**doc, "crossings": {}},
          "certificate.crossings must be a JSON array"),
+        # A JSON integer past the float range.
+        (lambda doc: {**doc, "period": 10**400},
+         "certificate.period must be a number"),
     ],
     ids=["root-array", "null-corners", "crossing-not-object", "text-period",
          "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times",
-         "crossings-object"],
+         "crossings-object", "period-401-digits"],
 )
 def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                                               tamper, bad_key):

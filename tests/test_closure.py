@@ -563,6 +563,16 @@ def test_solve_two_zone_never_unique():
         assert not isinstance(out, UniqueCycleCandidate)
 
 
+def test_layout_specific_solvers_reject_the_other_layout(examples):
+    two_zone = PiecewiseSystem.two_zone(
+        F(0.0, 1.0, -1.0, 0.3, 0.0), F(1.0, 0.0, 1.0, 1.0, 0.0)
+    )
+    with pytest.raises(ValueError, match="expected a two-zone system"):
+        solve_two_zone(examples["CCC"])
+    with pytest.raises(ValueError, match="expected a three-zone system"):
+        solve_three_zone(two_zone)
+
+
 def test_solve_two_zone_degenerate_no_solution():
     system = PiecewiseSystem.two_zone(
         F(0.0, 1.0, -1.0, 0.3, 0.0), F(1.0, 0.0, 1.0, 1.0, 0.0)

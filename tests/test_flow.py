@@ -300,6 +300,17 @@ def test_flight_time_never_reaches_center():
         flight_time(field, (0.0, 0.5), -1.0)
 
 
+def test_flight_time_from_the_centre_never_reaches():
+    # The start is the centre itself, on the line: an orbit of radius 0,
+    # which the radius guard rejects before d / radius divides by zero.
+    field = F(-0.41870400444242195, 690143831.9977579, -252.3722422147226,
+              -517187448.5096591, 252.0584692794682)
+    start = (1.0, 0.7493908152902876)
+    assert field.singularity.location == start
+    with pytest.raises(NeverReaches, match="misses the line x = 1"):
+        flight_time(field, start, 1.0)
+
+
 @pytest.mark.parametrize(
     "coefficients, roots",
     [((0.0, 0.0, 0.0), []), ((1e-20, 1.0, 2.0), [-2.0]), ((1.0, 0.0, 0.0), [0.0])],

@@ -215,6 +215,12 @@ def test_field_of_an_unknown_zone_raises_layout_error(layout):
         assert str(info.value) == f"no zone {unknown!r} in this layout"
 
 
+def test_field_count_must_match_the_layout():
+    field = LinearHamiltonianField(0.0, 1.0, -1.0, 0.0, 0.0)
+    with pytest.raises(LayoutError, match="^3 zones but 2 fields$"):
+        PiecewiseSystem(THREE_ZONE, (field, field))
+
+
 # --- continuity ----------------------------------------------------------------
 
 

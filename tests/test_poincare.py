@@ -546,6 +546,25 @@ def test_fixed_point_worst_cases(monkeypatch, displacement, bracket):
     assert len(calls) <= 2 * math.ceil(math.log2(width / FIXED_POINT_Y_TOL)) + 2
 
 
+@pytest.mark.parametrize(
+    "bracket, calls_made", [((0.25, 1.0), 2), ((0.0, 0.25), 2), ((0.0, 0.5), 3)],
+    ids=["lower-end", "upper-end", "first-probe"],
+)
+def test_fixed_point_returns_an_exact_zero(monkeypatch, bracket, calls_made):
+    # The displacement y - 0.25 vanishes exactly at a bracket end, or at the
+    # first secant probe (0.25, exact in binary): that ordinate is returned.
+    calls = []
+
+    def synthetic_return_map(system, y, tol):
+        calls.append(y)
+        return 2.0 * y - 0.25
+
+    monkeypatch.setattr(poincare, "return_map", synthetic_return_map)
+    y_hi = bracket[1]
+    assert fixed_point(None, bracket) == (0.25, (2.0 * y_hi - 0.25) - y_hi)
+    assert len(calls) == calls_made
+
+
 def test_bad_bracket_rejected(ccc):
     y0 = GOLDEN_CORNERS["CCC"][0]
     with pytest.raises(BadBracket):
@@ -712,6 +731,21 @@ def test_invalid_tolerance_rejected(ccc):
     with pytest.raises(ValueError, match="single steps") as info:
         fixed_point_near(ccc, GOLDEN_CORNERS["CCC"][0], tol=1e-60)
     assert "tol 1e-60 gives the RK4 step h_base = 5e-16," in str(info.value)
+
+
+def test_start_in_no_zone_rejected(ccc):
+    with pytest.raises(ValueError, match=r"point \(nan, 0.0\) belongs to no zone"):
+        integrate_numeric(ccc, (math.nan, 0.0), 1.0)
+
+
+def test_run_ends_exactly_at_t_max(ccc):
+    # At tol = 2^-12 CCC's h_base is 2^-4 exactly, so four whole steps from
+    # inside R end on t_max = 0.25 and the run stops there, with no step of
+    # length 0 and no event.
+    trajectory = integrate_numeric(ccc, (1.5, 1.0), 0.25, tol=2.0**-12)
+    assert [s.time for s in trajectory.states] == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+    assert {s.zone for s in trajectory.states} == {"R"}
+    assert trajectory.events == ()
 
 
 def test_whole_steps_stop_at_the_time_resolution(examples, monkeypatch):
