@@ -45,6 +45,10 @@ PLOT_OUTPUT = "portrait.svg"
 # sample each arc at its two end points.
 UNPLOTTED_SAMPLES_PER_ARC = 2
 
+# plot's sample orbit spans at most this many radians of its fastest zone (and
+# at most 10 time units): some 3,560 RK4 steps or fewer at the default tol.
+SAMPLE_ORBIT_RADIANS = 100.0
+
 
 def bundle_examples() -> list[tuple[str, PiecewiseSystem]]:
     """The six bundled three-zone systems with one limit cycle each.
@@ -319,15 +323,18 @@ def _cmd_plot(args: argparse.Namespace, system: PiecewiseSystem) -> int:
 def _sample_orbit(system: PiecewiseSystem) -> list[Point]:
     """A representative orbit for systems without a certified cycle.
 
-    Starts strictly inside the rightmost zone, at the default tol; an orbit
+    Starts strictly inside the rightmost zone, at the default tol, and runs
+    for min(10, SAMPLE_ORBIT_RADIANS / fastest zone modulus); an orbit
     that runs into a sliding segment is plotted up to that point, one that
     overflows up to its last finite state (where integrate_numeric ends it).
     """
     x_start = system.layout.switching_lines[-1][1] + 0.5
+    fastest = max(field.singularity.modulus for field in system.fields)
+    t_max = min(10.0, SAMPLE_ORBIT_RADIANS / fastest)
     for y_start in (1.0, -1.0, 2.0, 0.5, 3.0):
         try:
             trajectory = poincare.integrate_numeric(
-                system, (x_start, y_start), t_max=10.0
+                system, (x_start, y_start), t_max=t_max
             )
         except poincare.SlidingEncountered as exc:
             trajectory = exc.trajectory

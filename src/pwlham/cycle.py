@@ -3,9 +3,10 @@
 A closure solution is only a candidate: the four corner ordinates solve the
 energy-matching equations, but an actual crossing limit cycle additionally
 needs transversal crossings at every corner and four realizable arcs that
-chain back to the starting corner.  ``find_limit_cycle`` performs those
-checks and packages the result; ``verify_certificate`` re-derives every
-invariant from scratch so a certificate can be audited after the fact.
+chain back to the starting corner.  ``certify`` performs those checks and
+packages the result with the reason it was accepted or rejected;
+``verify_certificate`` re-derives every invariant from scratch so a
+certificate can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _build_certificate(
         crossings=tuple(crossings),
         residual_norm=residual_norm,
         polyline=tuple(polyline),
-        period=sum(times),
+        period=math.fsum(times),
     )
 
 
@@ -256,7 +257,7 @@ def verify_certificate(
                               max_drift <= ENERGY_DRIFT_TOL,
                               max_drift, ENERGY_DRIFT_TOL))
 
-    period_gap = abs(certificate.period - sum(times))
+    period_gap = abs(certificate.period - math.fsum(times))
     checks.append(CheckResult("period_is_time_sum",
                               period_gap <= PERIOD_SUM_TOL,
                               period_gap, PERIOD_SUM_TOL))

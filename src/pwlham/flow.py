@@ -86,20 +86,7 @@ class CrossingClassification(NamedTuple):
 
 def flow_closed_form(field: LinearHamiltonianField, p0: Point, t: float) -> Point:
     """Exact zone flow of p0 by time t (t may be negative)."""
-    if t == 0.0:
-        return p0
-    kind, m, (px, py) = field.singularity
-    dx, dy = p0[0] - px, p0[1] - py
-    if kind == "center":
-        cw = math.cos(m * t)
-        sw = math.sin(m * t) / m
-    else:
-        cw = math.cosh(m * t)
-        sw = math.sinh(m * t) / m
-    return (
-        px + cw * dx + sw * (field.a * dx + field.b * dy),
-        py + cw * dy + sw * (field.c * dx - field.a * dy),
-    )
+    return p0 if t == 0.0 else _flow(field, p0, t, (1,))[0]
 
 
 def orbit_samples(
@@ -107,14 +94,21 @@ def orbit_samples(
 ) -> list[Point]:
     """n flow points at equally spaced times in [0, t_end]; starts at p0.
 
-    Sample k equals flow_closed_form(field, p0, k * step) bit for bit: the
-    arc's constants are derived once and the same operations run in order.
+    Sample k equals flow_closed_form(field, p0, k * step) bit for bit: both
+    are evaluated by the same loop (_flow), and 1 * t is exactly t.
     """
     if n < 2:
         raise ValueError("need at least two samples")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    step = t_end / (n - 1)
+    samples = _flow(field, p0, t_end / (n - 1), range(1, n))
+    samples.insert(0, p0)
+    return samples
+
+
+def _flow(field: LinearHamiltonianField, p0: Point, step: float, ks) -> list[Point]:
+    """The points p* + E(k * step) (p0 - p*) for k in ks, with the arc's
+    constants (p*, d = p0 - p*, M d and the pair of E) derived once."""
     kind, m, (px, py) = field.singularity
     dx, dy = p0[0] - px, p0[1] - py
     vx = field.a * dx + field.b * dy
@@ -123,13 +117,13 @@ def orbit_samples(
         even, odd = math.cos, math.sin
     else:
         even, odd = math.cosh, math.sinh
-    samples = [p0]
-    for k in range(1, n):
+    points = []
+    for k in ks:
         mt = m * (k * step)
         cw = even(mt)
         sw = odd(mt) / m
-        samples.append((px + cw * dx + sw * vx, py + cw * dy + sw * vy))
-    return samples
+        points.append((px + cw * dx + sw * vx, py + cw * dy + sw * vy))
+    return points
 
 
 def classify_boundary_point(
@@ -141,7 +135,7 @@ def classify_boundary_point(
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
         )
-    # vector_field_value(field, p)[0] on each side, without building the vectors.
+    # The x-component a*x + b*y + alpha of each side's field at p.
     x, y = p
     d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
     d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
@@ -196,8 +190,12 @@ def _saddle_flight_time(
     (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0),
     with no margin: a start on the target line has its own root w = 1
     deflated out exactly, and a root just above 1 is left to
-    refine_flight_time.  A grazing arc's clamped double root arrives with
-    zero x-velocity, a tangential contact.
+    refine_flight_time.  The earliest admissible root decides: from a start
+    off the target line, x(t) - s1 keeps the start's sign until that root,
+    so the orbit arrives from the start's side, moving in the required
+    direction unless it grazes; from a start on the line, deflation leaves
+    one root.  A grazing arc's clamped double root arrives with zero
+    x-velocity, a tangential contact.
     """
     if p0[0] == s1:
         # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
@@ -205,19 +203,19 @@ def _saddle_flight_time(
     else:
         roots = quadratic_roots(u + v, -2.0 * d, u - v)
 
-    times = sorted(math.log(w) / lam for w in roots if w > 1.0)
+    times = [math.log(w) / lam for w in roots if w > 1.0]
     if not times:
         raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
-    for t in times:
-        x, y = flow_closed_form(field, p0, t)
-        vx = field.a * x + field.b * y + field.alpha
-        if abs(vx) <= TANGENCY_TOL:
-            raise TangentialContact(f"arrival at x = {s1:g} is tangential")
-        if vx * required_sign > 0.0:
-            return t
-    raise NeverReaches(
-        f"no arrival at x = {s1:g} with the required crossing direction"
-    )
+    t = min(times)
+    x, y = flow_closed_form(field, p0, t)
+    vx = field.a * x + field.b * y + field.alpha
+    if abs(vx) <= TANGENCY_TOL:
+        raise TangentialContact(f"arrival at x = {s1:g} is tangential")
+    if not vx * required_sign > 0.0:
+        raise NeverReaches(
+            f"no arrival at x = {s1:g} with the required crossing direction"
+        )
+    return t
 
 
 def quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:

@@ -208,15 +208,6 @@ def hamiltonian_value(field: LinearHamiltonianField, p: Point) -> float:
     )
 
 
-def vector_field_value(field: LinearHamiltonianField, p: Point) -> Point:
-    """Field value (a*x + b*y + alpha, c*x - a*y + beta) at p."""
-    x, y = p
-    return (
-        field.a * x + field.b * y + field.alpha,
-        field.c * x - field.a * y + field.beta,
-    )
-
-
 def classify_singularity(field: LinearHamiltonianField) -> SingularKind:
     """Classify the unique singular point of a zone field.
 

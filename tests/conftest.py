@@ -95,6 +95,15 @@ def ccc(examples) -> PiecewiseSystem:
     return examples["CCC"]
 
 
+def vector_field_value(field: LinearHamiltonianField, p) -> tuple[float, float]:
+    """Reference field value (a*x + b*y + alpha, c*x - a*y + beta) at p."""
+    x, y = p
+    return (
+        field.a * x + field.b * y + field.alpha,
+        field.c * x - field.a * y + field.beta,
+    )
+
+
 # --- random system generators -------------------------------------------------
 
 MIN_DETERMINANT = 0.1  # keep random fields comfortably nondegenerate

@@ -313,6 +313,20 @@ def test_plot_without_cycle_draws_sample_orbit(continuous_path, tmp_path):
     assert text.count(" Z\"") == 0  # open orbit, not a closed cycle path
 
 
+def test_plot_of_a_fast_centre_bounds_its_sample_orbit(tmp_path):
+    # Modulus 1e5 in every zone (a continuum, so the sample orbit is drawn):
+    # 10 time units would be 5e6 RK4 steps, past the step budget; the orbit
+    # spans SAMPLE_ORBIT_RADIANS of rotation instead, some 500 steps.
+    centre = {"a": "0", "b": "100000", "c": "-100000", "alpha": "0", "beta": "0"}
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({"layout": "three", "zones": [centre] * 3}))
+    svg = tmp_path / "fast.svg"
+    assert main(["plot", "--input", str(path), "--output", str(svg)]) == EXIT_OK
+    orbit = re.search(r'<path d="M ([^"]*)"', svg.read_text(encoding="utf-8")).group(1)
+    assert " Z" not in orbit
+    assert orbit.count(" L ") + 1 <= 600
+
+
 def test_plot_of_a_sliding_orbit_ends_where_it_slides(tmp_path):
     # L and C push right (x' = x + 5), so the sample orbit from (1.5, 1)
     # around R's centre (2, 0) slides on the line x = 1 at (1, -0.5), at

@@ -239,6 +239,22 @@ def test_survey_certificates_verify():
     assert certified == 5
 
 
+def test_period_is_the_correctly_rounded_time_sum():
+    """The period is math.fsum of the flight times, so it has the same bits
+    on every interpreter: at draw 517 of scripts/random_survey.py --seed 0,
+    a left-to-right sum of the four times gives 2.8491971892363295, one ulp
+    below the correctly rounded sum."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_survey.py"
+    random_field = runpy.run_path(str(script))["random_field"]
+    rng = random.Random(0)
+    for _ in range(518):
+        system = PiecewiseSystem.three_zone(
+            random_field(rng), random_field(rng), random_field(rng)
+        )
+    cert = certify(system, samples_per_arc=8).certificate
+    assert cert.period == math.fsum(cert.flight_times) == 2.84919718923633
+
+
 def test_certify_classifies_each_zone_field_once(monkeypatch):
     calls = []
     classify = model.classify_singularity

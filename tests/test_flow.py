@@ -26,10 +26,15 @@ from pwlham.model import (
     PiecewiseSystem,
     classify_singularity,
     hamiltonian_value,
-    vector_field_value,
 )
 
-from conftest import CCC_PRODUCTS, CCC_TIMES, GOLDEN_CORNERS, random_field
+from conftest import (
+    CCC_PRODUCTS,
+    CCC_TIMES,
+    GOLDEN_CORNERS,
+    random_field,
+    vector_field_value,
+)
 
 F = LinearHamiltonianField
 

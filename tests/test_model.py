@@ -26,7 +26,6 @@ from pwlham.model import (
     singular_points_in_zone,
     system_from_json_dict,
     system_to_json_dict,
-    vector_field_value,
 )
 from pwlham.flow import flow_closed_form
 
@@ -37,6 +36,7 @@ from conftest import (
     random_field,
     random_three_zone,
     random_two_zone,
+    vector_field_value,
 )
 
 coef = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)

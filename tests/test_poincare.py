@@ -208,12 +208,94 @@ def test_jumped_return_map_matches_step_by_step(examples, monkeypatch):
         "return": 441, "no return": 230, "slide": 255
     }
     for (system, y), got, want in zip(probes, jumped, stepped):
-        if want[0] != "return":
-            assert got == want, (y, system.fields)
-            continue
-        assert got[0] == "return", (y, system.fields)
-        for g, w in zip(got[1:], want[1:]):
-            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (y, system.fields)
+        _assert_same_outcome(got, want, (y, system.fields))
+
+
+def _assert_same_outcome(got: tuple, want: tuple, where) -> None:
+    """A jumped return map's outcome is the step-by-step one; a return's
+    (y, t) agrees to 1e-12 relative."""
+    if want[0] != "return":
+        assert got == want, where
+        return
+    assert got[0] == "return", where
+    for g, w in zip(got[1:], want[1:]):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), where
+
+
+def _jumped_and_stepped(monkeypatch, system, y: float) -> tuple:
+    """The return map's outcome from (x, y) on the section, then its outcome
+    with every whole step taken one by one."""
+    jumped = _return_outcome(system, y)
+    with monkeypatch.context() as patched:
+        patched.setattr(poincare, "_run_length", lambda *args: 0)
+        return jumped, _return_outcome(system, y)
+
+
+def _record_calls(monkeypatch, name: str, seen) -> list:
+    """Wrap poincare.<name>: each later call appends seen(*args) to the list."""
+    calls = []
+    original = getattr(poincare, name)
+
+    def recorded(*args):
+        calls.append(seen(*args))
+        return original(*args)
+
+    monkeypatch.setattr(poincare, name, recorded)
+    return calls
+
+
+def test_saddle_run_from_inside_the_margin_matches_step_by_step(monkeypatch):
+    # The right zone's saddle has its singular point 1e-9 left of the
+    # section, so the orbit from (1, 0) enters at x-speed 1e-9 and its first
+    # few hundred states lie within RUN_MARGIN of the section: each starts
+    # outside the shrunk strip, and no run is jumped from there.
+    system = PiecewiseSystem.three_zone(
+        F(0.0, 1.0, -1.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 1.0, 0.0),
+        F(1.0, 0.0, 0.0, 1e-9 - 1.0, 0.0),
+    )
+    outside = _record_calls(
+        monkeypatch, "_saddle_run",
+        lambda shape, x_lo, x_hi, ux, v, cap: not x_lo < ux < x_hi,
+    )
+    jumped, stepped = _jumped_and_stepped(monkeypatch, system, 0.0)
+    assert any(outside)
+    _assert_same_outcome(jumped, stepped, "saddle")
+
+
+def test_centre_run_past_the_margin_matches_step_by_step(monkeypatch):
+    # The right zone's centre (speed 0.01) sits 1e-9 right of the origin, so
+    # the unit circle about it through the start pokes 1e-9 past the section
+    # for about three steps: the whole circle lies left of the shrunk strip,
+    # and no run is jumped from there.
+    slow = 0.01
+    system = PiecewiseSystem.three_zone(
+        F(0.0, slow, -slow, 0.0, -slow * 1e-9), F(0.0, 1.0, -1.0, 0.0, 0.0),
+        F(0.0, slow, -slow, 0.0, slow * 1e-9),
+    )
+    wholly_outside = _record_calls(
+        monkeypatch, "_centre_run",
+        lambda shape, x_lo, x_hi, ux, v, cap: x_lo >= math.hypot(ux, v),
+    )
+    jumped, stepped = _jumped_and_stepped(monkeypatch, system, math.sqrt(2e-9))
+    assert any(wholly_outside)
+    _assert_same_outcome(jumped, stepped, "centre")
+
+
+def test_event_past_newton_resolution_matches_step_by_step(ccc, monkeypatch):
+    # At y = 8667683 the orbit meets the lines at x-speeds near 1e7, where the
+    # rounding of the event quartic (~4e-12) exceeds EVENT_TOL: Newton stops
+    # only on an exact zero, and one event runs all its iterations.
+    evaluations = _record_calls(monkeypatch, "_locate_event", lambda *args: 0)
+    quartic = poincare._quartic
+
+    def counted(*args):
+        evaluations[-1] += 1
+        return quartic(*args)
+
+    monkeypatch.setattr(poincare, "_quartic", counted)
+    jumped, stepped = _jumped_and_stepped(monkeypatch, ccc, 8667683.0)
+    assert max(evaluations) == 200
+    _assert_same_outcome(jumped, stepped, "event")
 
 
 # SHA-256 over the repr of every _return_outcome on _equivalence_probes.
