@@ -76,18 +76,6 @@ class Continuum(NamedTuple):
 ClosureOutcome = NoSolution | UniqueCycleCandidate | Continuum
 
 
-def residuals_two_zone(
-    system: PiecewiseSystem, y0: float, y1: float
-) -> tuple[float, float]:
-    """Energy mismatches of the R and L zones between (0, y0) and (0, y1)."""
-    lf, rf = system.fields
-    gap = y0 - y1
-    return (
-        -0.5 * gap * (rf.b * (y0 + y1) + 2.0 * rf.alpha),
-        0.5 * gap * (lf.b * (y0 + y1) + 2.0 * lf.alpha),
-    )
-
-
 def residuals_three_zone(
     system: PiecewiseSystem, y0: float, y1: float, y2: float, y3: float
 ) -> tuple[float, float, float, float]:

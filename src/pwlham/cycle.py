@@ -167,7 +167,9 @@ def _build_certificate(
                 f"(gap {gap:.3e})"
             )
         samples = flow.orbit_samples(field, start, t, samples_per_arc)
-        polyline.extend(samples if not polyline else samples[1:])
+        if polyline:
+            del samples[0]  # the previous arc's landing stands for this start
+        polyline.extend(samples)
         times.append(t)
 
     residual_norm = max(map(abs, closure.residuals_three_zone(system, *candidate)))

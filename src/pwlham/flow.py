@@ -21,6 +21,7 @@ t +/- CROSS_CHECK_TOL * (1 + t), so a transversal root lies that close.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Literal, NamedTuple
 
 from .model import LinearHamiltonianField, PiecewiseSystem, Point
@@ -86,7 +87,7 @@ class CrossingClassification(NamedTuple):
 
 def flow_closed_form(field: LinearHamiltonianField, p0: Point, t: float) -> Point:
     """Exact zone flow of p0 by time t (t may be negative)."""
-    return p0 if t == 0.0 else _flow(field, p0, t, (1,))[0]
+    return p0 if t == 0.0 else _flow(field, p0, t, (1.0,))[0]
 
 
 def orbit_samples(
@@ -95,15 +96,22 @@ def orbit_samples(
     """n flow points at equally spaced times in [0, t_end]; starts at p0.
 
     Sample k equals flow_closed_form(field, p0, k * step) bit for bit: both
-    are evaluated by the same loop (_flow), and 1 * t is exactly t.
+    are evaluated by the same loop (_flow), which is handed each index k as
+    the float k, exact since k < 2**53, and 1.0 * t is exactly t.
     """
     if n < 2:
         raise ValueError("need at least two samples")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    samples = _flow(field, p0, t_end / (n - 1), range(1, n))
+    samples = _flow(field, p0, t_end / (n - 1), _indices(n))
     samples.insert(0, p0)
     return samples
+
+
+@lru_cache(maxsize=4)
+def _indices(n: int) -> tuple[float, ...]:
+    """1.0, ..., n - 1 as floats, so m * (k * step) multiplies float by float."""
+    return tuple(map(float, range(1, n)))
 
 
 def _flow(field: LinearHamiltonianField, p0: Point, step: float, ks) -> list[Point]:
@@ -292,8 +300,10 @@ def refine_flight_time(
     """
     w = CROSS_CHECK_TOL * (1.0 + abs(t_approx))
     lo, hi = t_approx - w, t_approx + w
-    g_lo = flow_closed_form(field, p0, lo)[0] - target_x
-    g_hi = flow_closed_form(field, p0, hi)[0] - target_x
+    # Both ends in one evaluation; at time 0 the flow is p0 itself.
+    p_lo, p_hi = _flow(field, p0, 1.0, (lo, hi))
+    g_lo = (p0 if lo == 0.0 else p_lo)[0] - target_x
+    g_hi = (p0 if hi == 0.0 else p_hi)[0] - target_x
     if not g_lo * g_hi < 0.0:
         raise ArithmeticError(
             f"flight-time cross-check failed: the orbit does not cross "

@@ -290,6 +290,7 @@ def singular_points_in_zone(
 # be strings "p/q" for exact rational entry.
 
 _COEF_KEYS = ("a", "b", "c", "alpha", "beta")
+_COEF_KEY_SET = frozenset(_COEF_KEYS)
 
 
 class SystemFormatError(ValueError):
@@ -371,23 +372,22 @@ def system_from_json_dict(doc: object) -> PiecewiseSystem:
     for zone_id, zone in zip(layout.zone_ids, zones):
         if not isinstance(zone, dict):
             raise SystemFormatError(f"zone {zone_id}: expected an object")
-        unknown = set(zone) - set(_COEF_KEYS)
-        if unknown:
-            raise SystemFormatError(f"zone {zone_id}: unknown keys {sorted(unknown)}")
-        missing = [k for k in _COEF_KEYS if k not in zone]
-        if missing:
-            raise SystemFormatError(f"zone {zone_id}: missing keys {missing}")
-        coefs = {}
+        if zone.keys() != _COEF_KEY_SET:
+            unknown = sorted(zone.keys() - _COEF_KEY_SET)
+            missing = [k for k in _COEF_KEYS if k not in zone]
+            fault = f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+            raise SystemFormatError(f"zone {zone_id}: {fault}")
+        coefs = []
         for k in _COEF_KEYS:
             try:
-                coefs[k] = _finite_number(zone[k])
+                coefs.append(_finite_number(zone[k]))
             except SystemFormatError as exc:
                 # The label is built only for a coefficient that is rejected.
                 raise SystemFormatError(
                     f"zone {zone_id}, field {k!r}: {exc}"
                 ) from exc.__cause__
         try:
-            field = LinearHamiltonianField(**coefs)
+            field = LinearHamiltonianField(*coefs)
             field.singularity  # a point that overflows is unusable input
         except DegenerateField as exc:
             raise SystemFormatError(f"zone {zone_id}: {exc}") from exc

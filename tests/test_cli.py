@@ -510,7 +510,20 @@ def test_output_matches_golden_values(name, command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     expected = json.loads((GOLDEN / f"{name}.{command}.json").read_text("utf-8"))
-    _assert_matches(json.loads(captured.out), expected)
+    actual = json.loads(captured.out)
+    _assert_matches(actual, expected)
+    if command == "cycle":
+        # Only flight times and the period go through libm; the corners,
+        # crossings and residual come from +, -, *, / and sqrt alone.
+        for key in ("corners", "crossings", "residual_norm"):
+            assert actual[key] == expected[key], key
+
+
+@pytest.mark.parametrize("name", [n.lower() for n in FIXTURE_NAMES])
+def test_cycle_golden_corners_are_the_solve_golden_corners(name):
+    cycle_doc = json.loads((GOLDEN / f"{name}.cycle.json").read_text("utf-8"))
+    solve_doc = json.loads((GOLDEN / f"{name}.solve.json").read_text("utf-8"))
+    assert cycle_doc["corners"] == solve_doc["corners"]
 
 
 def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):

@@ -21,7 +21,6 @@ from pwlham.closure import (
     NoSolution,
     UniqueCycleCandidate,
     residuals_three_zone,
-    residuals_two_zone,
     solve,
     solve_three_zone,
     solve_two_zone,
@@ -55,6 +54,17 @@ def saddle_like(a: float, b: float, alpha: float = 0.0, beta: float = 0.0) -> F:
 
 
 # --- residuals -----------------------------------------------------------------
+
+
+def residuals_two_zone(system: PiecewiseSystem, y0: float, y1: float):
+    """Reference energy mismatches of the R and L zones between (0, y0) and
+    (0, y1), the two-zone analogue of closure.residuals_three_zone."""
+    lf, rf = system.fields
+    gap = y0 - y1
+    return (
+        -0.5 * gap * (rf.b * (y0 + y1) + 2.0 * rf.alpha),
+        0.5 * gap * (lf.b * (y0 + y1) + 2.0 * lf.alpha),
+    )
 
 
 def test_two_zone_residuals_vanish_on_equal_ordinates():

@@ -164,6 +164,65 @@ def test_orbit_samples_match_closed_form_on_random_fields(kind, seed, t_scaled, 
     _assert_samples_are_closed_form_flows(field, p, t_end, n)
 
 
+def _formula_flow(field, p0, mt):
+    """p* + cos(m t) d + (sin(m t) / m) M d with d = p0 - p*, cosh and sinh
+    for a saddle, given m t: the zone flow written out term by term, with p*
+    and m from the coefficients."""
+    a, b, c, alpha, beta = field.a, field.b, field.c, field.alpha, field.beta
+    det = a * a + b * c
+    px = (-a * alpha - b * beta) / det
+    py = (-c * alpha + a * beta) / det
+    m = math.sqrt(abs(det))
+    even, odd = (math.cos, math.sin) if det < 0.0 else (math.cosh, math.sinh)
+    dx, dy = p0[0] - px, p0[1] - py
+    cw, sw = even(mt), odd(mt) / m
+    return (
+        px + cw * dx + sw * (a * dx + b * dy),
+        py + cw * dy + sw * (c * dx - a * dy),
+    )
+
+
+def _fixture_arcs(examples):
+    """(field, start, target abscissa, flight time) of every arc of the six
+    fixture cycles."""
+    for system in examples.values():
+        cert = find_limit_cycle(system)
+        ends = cert.corners[1:] + cert.corners[:1]
+        for zone, start, end, t in zip(ARC_ZONES, cert.corners, ends, cert.flight_times):
+            yield system.field(zone), start, end[0], t
+
+
+@pytest.mark.parametrize("n", [2, 3, 256, 257])
+def test_samples_are_the_written_out_formula_bit_for_bit(examples, n):
+    """Sample k is the formula at m * (k * step) with the integer k, and the
+    closed-form flow is the formula at m * t, bit for bit."""
+    for field, start, _, t in _fixture_arcs(examples):
+        m = math.sqrt(abs(field.linear_determinant()))
+        step = t / (n - 1)
+        samples = orbit_samples(field, start, t, n)
+        assert samples[0] == start
+        for k in range(1, n):
+            assert samples[k] == _formula_flow(field, start, m * (k * step)), k
+        assert flow_closed_form(field, start, t) == _formula_flow(field, start, m * t)
+        assert flow_closed_form(field, start, step) == samples[1]
+
+
+def test_a_million_samples_are_the_written_out_formula(examples):
+    """At n = 2**20, every 4099th sample and the last, on a center arc and
+    a saddle arc."""
+    n = 1 << 20
+    arcs = list(_fixture_arcs(examples))
+    center = next(arc for arc in arcs if arc[0].singularity.kind == "center")
+    saddle = next(arc for arc in arcs if arc[0].singularity.kind == "saddle")
+    for field, start, _, t in (center, saddle):
+        m = math.sqrt(abs(field.linear_determinant()))
+        step = t / (n - 1)
+        samples = orbit_samples(field, start, t, n)
+        assert len(samples) == n
+        for k in [*range(1, n, 4099), n - 1]:
+            assert samples[k] == _formula_flow(field, start, m * (k * step)), k
+
+
 def test_orbit_samples_validates_arguments():
     field = F(0.0, 1.0, -1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -392,6 +451,54 @@ def test_cross_check_holds_a_time_within_its_tolerance(examples):
         for k in (1.1, -1.1, 2.0, -2.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6):
             with pytest.raises(ArithmeticError, match="cross-check"):
                 refine_flight_time(field, p0, s1, t + k * tau)
+
+
+def _reference_refine(field, p0, target_x, t_approx):
+    """refine_flight_time as two flow_closed_form evaluations."""
+    w = flow.CROSS_CHECK_TOL * (1.0 + abs(t_approx))
+    lo, hi = t_approx - w, t_approx + w
+    g_lo = flow_closed_form(field, p0, lo)[0] - target_x
+    g_hi = flow_closed_form(field, p0, hi)[0] - target_x
+    if not g_lo * g_hi < 0.0:
+        return ArithmeticError
+    return (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+
+
+def _refine_or_error(field, p0, target_x, t_approx):
+    try:
+        return refine_flight_time(field, p0, target_x, t_approx)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def test_refine_is_two_closed_form_evaluations(examples):
+    """refine_flight_time returns the bits, or raises where, the secant of
+    two flow_closed_form evaluations at t +/- w gives them: on the fixture
+    arcs, on seeded random arcs and times, and at times where one end t -/+ w
+    is exactly 0."""
+    cases = list(_fixture_arcs(examples))
+    rng = random.Random(63)
+    for _ in range(300):
+        field = random_field(rng)
+        p0 = (rng.choice((-1.0, 0.0, 1.0)), rng.uniform(-3.0, 3.0))
+        s1 = rng.choice((-1.0, 0.0, 1.0))
+        try:
+            t = flight_time(field, p0, s1)
+        except (NeverReaches, TangentialContact, ArithmeticError):
+            t = rng.uniform(0.0, 4.0) / field.singularity.modulus
+        cases.append((field, p0, s1, t))
+    # At t = +/-1.0000000010000002e-09, t -/+ w is exactly 0.0, where the
+    # flow is p0 itself; the formula there would give p* + (p0 - p*), which
+    # for this centre at (1/3, 0) misses x = 0.9 by an ulp.
+    t_zero = 1.0000000010000002e-09
+    assert t_zero - flow.CROSS_CHECK_TOL * (1.0 + t_zero) == 0.0
+    centre = F(0.0, 1.0, -1.0, 0.0, 1.0 / 3.0)
+    ends = [(centre, (0.9, 1.0), 0.9 + 1e-9, t_zero),
+            (centre, (0.9, 1.0), 0.9 - 1e-9, -t_zero)]
+    for field, p0, s1, t in cases + ends:
+        assert _refine_or_error(field, p0, s1, t) == _reference_refine(field, p0, s1, t)
+    for case in ends:
+        assert _refine_or_error(*case) is not ArithmeticError
 
 
 def test_cross_check_rejects_an_off_closed_form(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from pwlham.cli import FIXTURE_NAMES, fixture_text
 from pwlham.closure import solve_three_zone
 from pwlham.model import (
     CONTINUITY_TOL,
@@ -508,6 +511,45 @@ def test_coefficient_errors_name_the_zone_and_field():
         system_from_json_dict(doc)
     assert str(info.value) == "zone R, field 'alpha': bad rational '1/0'"
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+_UNIT = {"a": 1, "b": 0, "c": 1, "alpha": 0, "beta": 0}
+
+
+@pytest.mark.parametrize(
+    "zone, message",
+    [
+        ({"a": 1, "b": 0, "c": 1, "zeta": 0, "gamma": 2},
+         "zone C: unknown keys ['gamma', 'zeta']"),
+        ({"a": 1, "c": 1, "alpha": 0}, "zone C: missing keys ['b', 'beta']"),
+        ({**_UNIT, "a": True}, "zone C, field 'a': expected a number, got True"),
+        ({**_UNIT, "b": [1]}, "zone C, field 'b': expected a number, got list"),
+    ],
+    ids=["unknown-and-missing", "missing", "bool-coefficient", "list-coefficient"],
+)
+def test_zone_errors_keep_their_messages(zone, message):
+    # Unknown keys are reported before missing ones, both in a fixed order.
+    doc = {"layout": "three", "zones": [_UNIT, zone, _UNIT]}
+    with pytest.raises(SystemFormatError) as info:
+        system_from_json_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_zone_key_order_does_not_change_the_bits(name):
+    doc = json.loads(fixture_text(name))
+
+    def coefficient_bits(zones):
+        system = system_from_json_dict({**doc, "zones": zones})
+        return [
+            [value.hex() for value in zone.values()]
+            for zone in system_to_json_dict(system)["zones"]
+        ]
+
+    expected = coefficient_bits(doc["zones"])
+    for order in itertools.permutations(doc["zones"][0]):
+        zones = [{k: zone[k] for k in order} for zone in doc["zones"]]
+        assert coefficient_bits(zones) == expected, order
 
 
 @pytest.mark.parametrize(
