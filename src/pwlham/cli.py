@@ -96,7 +96,14 @@ def render_svg(
     singular = [info.location for _, info, _ in singular_points_in_zone(system)]
 
     if window is None:
-        window = _default_window(polyline, [x for _, x in lines])
+        # Frame the orbit and the switching lines; singular points may fall
+        # outside and are then simply not drawn.
+        xs = [p[0] for p in polyline] + [x for _, x in lines]
+        ys = [p[1] for p in polyline]
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        pad_x = 0.12 * (x_hi - x_lo) + 1e-6
+        pad_y = 0.12 * (y_hi - y_lo) + 1e-6
+        window = (x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y)
     x_lo, x_hi, y_lo, y_hi = window
     span_x = x_hi - x_lo
     span_y = y_hi - y_lo
@@ -170,21 +177,6 @@ def render_svg(
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def _default_window(
-    polyline: Sequence[tuple[float, float]],
-    line_positions: Sequence[float],
-) -> tuple[float, float, float, float]:
-    """Frame the orbit and the switching lines; singular points may fall
-    outside and are then simply not drawn."""
-    xs = [p[0] for p in polyline] + list(line_positions)
-    ys = [p[1] for p in polyline]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    pad_x = 0.12 * (x_hi - x_lo) + 1e-6
-    pad_y = 0.12 * (y_hi - y_lo) + 1e-6
-    return (x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y)
 
 
 # --- commands ----------------------------------------------------------------
@@ -394,8 +386,8 @@ def _tolerance(text: str) -> float:
 
 
 def _sample_count(text: str) -> int:
-    # The polyline keeps 4 * samples points; the cap is the budget of states
-    # a recorded orbit keeps.
+    # The polyline keeps 4 * samples - 3 points; the cap is the budget of
+    # states a recorded orbit keeps.
     try:
         samples = int(text)
     except ValueError:
@@ -462,7 +454,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -109,9 +109,10 @@ def certify(
 ) -> CertificationResult:
     """Run the closure analysis and, if it isolates a candidate, certify it.
 
-    A candidate is rejected (certificate None, reason filled in) if a corner
-    is not a transversal crossing, an arc fails to reach its target line or
-    to confirm its arrival time, or the chained arcs do not close up.
+    A candidate is rejected (certificate None, reason filled in) at the first
+    failed check, in order: a corner that is not a crossing; an arc that
+    fails to reach its target line or to confirm its arrival time; a landing
+    off its end corner by more than CLOSURE_TOL; a residual over RESIDUAL_TOL.
     """
     outcome = closure.solve(system)
     if isinstance(outcome, closure.NoSolution):
@@ -120,32 +121,16 @@ def certify(
         return CertificationResult(
             outcome, None, f"continuum of periodic orbits: {outcome.description}"
         )
-
-    try:
-        certificate = _build_certificate(system, outcome, samples_per_arc)
-    except _CandidateRejected as exc:
-        return CertificationResult(outcome, None, str(exc))
-    return CertificationResult(outcome, certificate, "certified")
-
-
-class _CandidateRejected(Exception):
-    pass
-
-
-def _build_certificate(
-    system: PiecewiseSystem,
-    candidate: closure.UniqueCycleCandidate,
-    samples_per_arc: int,
-) -> CycleCertificate:
-    corners = _corner_points(candidate)
+    corners = _corner_points(outcome)
 
     crossings = []
     for corner, line_id in zip(corners, CORNER_LINES):
         cls = flow.classify_boundary_point(system, corner, line_id)
         if cls.label != "crossing":
-            raise _CandidateRejected(
+            return CertificationResult(
+                outcome, None,
                 f"algebraic solution, not a crossing cycle: corner {corner} "
-                f"on line {line_id} is {cls.label}"
+                f"on line {line_id} is {cls.label}",
             )
         crossings.append(cls)
 
@@ -155,16 +140,17 @@ def _build_certificate(
         try:
             t = flow.flight_time(field, start, end[0])
         except (flow.NeverReaches, flow.TangentialContact, ArithmeticError) as exc:
-            raise _CandidateRejected(
-                f"arc from {start} toward x = {end[0]:g} is not "
-                f"realizable: {exc}"
-            ) from exc
+            return CertificationResult(
+                outcome, None,
+                f"arc from {start} toward x = {end[0]:g} is not realizable: {exc}",
+            )
         landing = flow.flow_closed_form(field, start, t)
         gap = max(abs(landing[0] - end[0]), abs(landing[1] - end[1]))
         if gap > CLOSURE_TOL:
-            raise _CandidateRejected(
+            return CertificationResult(
+                outcome, None,
                 f"arc from {start} lands at {landing}, expected {end} "
-                f"(gap {gap:.3e})"
+                f"(gap {gap:.3e})",
             )
         samples = flow.orbit_samples(field, start, t, samples_per_arc)
         if polyline:
@@ -172,13 +158,14 @@ def _build_certificate(
         polyline.extend(samples)
         times.append(t)
 
-    residual_norm = max(map(abs, closure.residuals_three_zone(system, *candidate)))
+    residual_norm = max(map(abs, closure.residuals_three_zone(system, *outcome)))
     if residual_norm > RESIDUAL_TOL:
-        raise _CandidateRejected(
-            f"closure residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}"
+        return CertificationResult(
+            outcome, None,
+            f"closure residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}",
         )
 
-    return CycleCertificate(
+    certificate = CycleCertificate(
         corners=corners,
         flight_times=tuple(times),
         crossings=tuple(crossings),
@@ -186,6 +173,7 @@ def _build_certificate(
         polyline=tuple(polyline),
         period=math.fsum(times),
     )
+    return CertificationResult(outcome, certificate, "certified")
 
 
 def verify_certificate(

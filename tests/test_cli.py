@@ -364,6 +364,29 @@ def test_plot_of_an_overflowing_orbit_has_no_nan(tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+def test_plot_without_any_sample_orbit_exits_2(tmp_path, capsys):
+    # Extreme coefficients: none of the sample orbit's five starts records
+    # two states, so plot has nothing to draw and writes no file.
+    keys = ("a", "b", "c", "alpha", "beta")
+    zones = [
+        (-3.2913825900189404e-13, -2.6684072878637878e+88, -2.0191500954353023e-67,
+         -1.1211876787140906e-55, 2.0125650498342034e+64),
+        (-1.2952112784133034e+64, 1.0654377716382196e+93, 4.6278411863469884e+79,
+         -6.831084575033719e-45, -2.526217611176891e+99),
+    ]
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(
+        {"layout": "two", "zones": [dict(zip(keys, zone)) for zone in zones]}
+    ), encoding="utf-8")
+    svg = tmp_path / "extreme.svg"
+    code = main(["plot", "--input", str(path), "--output", str(svg)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: could not sample a representative orbit for plotting\n"
+    )
+    assert not svg.exists()
+
+
 def test_plot_window_and_errors(ccc_path, tmp_path):
     svg = tmp_path / "w.svg"
     code = main(["plot", "--input", str(ccc_path), "--output", str(svg),
@@ -517,6 +540,9 @@ def test_output_matches_golden_values(name, command, tmp_path, capsys):
         # crossings and residual come from +, -, *, / and sqrt alone.
         for key in ("corners", "crossings", "residual_norm"):
             assert actual[key] == expected[key], key
+    else:
+        # The oracle's analytic y0 is a corner, so it is exact as well.
+        assert actual["analytic"]["y0"] == expected["analytic"]["y0"]
 
 
 @pytest.mark.parametrize("name", [n.lower() for n in FIXTURE_NAMES])
@@ -524,6 +550,15 @@ def test_cycle_golden_corners_are_the_solve_golden_corners(name):
     cycle_doc = json.loads((GOLDEN / f"{name}.cycle.json").read_text("utf-8"))
     solve_doc = json.loads((GOLDEN / f"{name}.solve.json").read_text("utf-8"))
     assert cycle_doc["corners"] == solve_doc["corners"]
+
+
+@pytest.mark.parametrize("name", [n.lower() for n in FIXTURE_NAMES])
+def test_oracle_golden_analytic_values_are_the_solve_and_cycle_goldens(name):
+    oracle_doc = json.loads((GOLDEN / f"{name}.oracle.json").read_text("utf-8"))
+    solve_doc = json.loads((GOLDEN / f"{name}.solve.json").read_text("utf-8"))
+    cycle_doc = json.loads((GOLDEN / f"{name}.cycle.json").read_text("utf-8"))
+    assert oracle_doc["analytic"]["y0"] == solve_doc["corners"]["y0"]
+    assert oracle_doc["analytic"]["period"] == cycle_doc["period"]
 
 
 def test_grazing_arrival_is_rejected_not_raised(tmp_path, capsys):
