@@ -58,14 +58,6 @@ class NotOnSwitchingLine(ValueError):
     """The queried point does not lie on the named switching line."""
 
 
-class FlowState(NamedTuple):
-    """A point on an orbit, its flow time and the zone it belongs to."""
-
-    point: Point
-    time: float
-    zone: str
-
-
 class CrossingClassification(NamedTuple):
     """Contact type of a switching-line point with its two adjacent fields.
 
@@ -160,72 +152,6 @@ def contact_label(d_minus: float, d_plus: float) -> str:
     return "sliding" if d_minus > 0.0 else "escaping"
 
 
-def _center_flight_time(
-    u: float, v: float, d: float, w: float, s1: float, required_sign: float
-) -> float:
-    """Smallest root t >= 0 of x(t) = s1 with the required x-velocity sign.
-
-    Writing x(t) = px + R cos(w t - phi), roots come in the two families
-    w t - phi = +/- acos(d / R) (mod 2 pi); the family with +acos has
-    x'(t) <= 0 and the other x'(t) >= 0, so the required sign selects one
-    family and the smallest non-negative representative is the answer.  At
-    a start on the target line, a phase near 0 means both families nearly
-    meet there: a grazing arc, which refine_flight_time rejects.
-    """
-    radius = math.hypot(u, v)
-    if radius <= TANGENCY_TOL or abs(d) > radius + TANGENCY_TOL:
-        raise NeverReaches(f"orbit x-range misses the line x = {s1:g}")
-    cos_arg = max(-1.0, min(1.0, d / radius))
-    psi = math.acos(cos_arg)
-    if math.sin(psi) * radius * w <= TANGENCY_TOL:
-        # |d| = R: the orbit only grazes the line.
-        raise TangentialContact(f"orbit is tangent to the line x = {s1:g}")
-    phi = math.atan2(v, u)
-    theta = psi if required_sign < 0.0 else -psi
-    angle = math.fmod(phi + theta, 2.0 * math.pi)
-    if angle < 0.0:
-        angle += 2.0 * math.pi
-    return angle / w
-
-
-def _saddle_flight_time(
-    field: LinearHamiltonianField, p0: Point, u: float, v: float, d: float,
-    lam: float, s1: float, required_sign: float,
-) -> float:
-    """Saddle-zone analogue via the substitution w = exp(l t).
-
-    With u, v, d as in flight_time, x(t) - s1 = 0 becomes the quadratic
-    (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1 (t > 0),
-    with no margin: a start on the target line has its own root w = 1
-    deflated out exactly, and a root just above 1 is left to
-    refine_flight_time.  The earliest admissible root decides: from a start
-    off the target line, x(t) - s1 keeps the start's sign until that root,
-    so the orbit arrives from the start's side, moving in the required
-    direction unless it grazes; from a start on the line, deflation leaves
-    one root.  A grazing arc's clamped double root arrives with zero
-    x-velocity, a tangential contact.
-    """
-    if p0[0] == s1:
-        # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
-        roots = [] if u + v == 0.0 else [(u - v) / (u + v)]
-    else:
-        roots = quadratic_roots(u + v, -2.0 * d, u - v)
-
-    times = [math.log(w) / lam for w in roots if w > 1.0]
-    if not times:
-        raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
-    t = min(times)
-    x, y = flow_closed_form(field, p0, t)
-    vx = field.a * x + field.b * y + field.alpha
-    if abs(vx) <= TANGENCY_TOL:
-        raise TangentialContact(f"arrival at x = {s1:g} is tangential")
-    if not vx * required_sign > 0.0:
-        raise NeverReaches(
-            f"no arrival at x = {s1:g} with the required crossing direction"
-        )
-    return t
-
-
 def quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
     """Real roots of qa w^2 + qb w + qc, with tangency clamping.
 
@@ -258,9 +184,11 @@ def flight_time(
     """Time for the zone orbit from p0 (on a switching line) to reach x = target_x.
 
     Returns the smallest t > 0 at which x(t) equals the target abscissa with
-    a transversal crossing oriented out of the strip being traversed.  The
-    closed-form answer is returned only once refine_flight_time confirms
-    that g(t) = x(t) - target_x changes sign within
+    a transversal crossing oriented out of the strip being traversed: a
+    center's earliest acos-family root, or a saddle's earliest quadratic
+    root w = exp(l t) > 1.  Either kind raises NeverReaches or
+    TangentialContact otherwise, and returns t only once refine_flight_time
+    confirms that x(t) - target_x changes sign within
     CROSS_CHECK_TOL * (1 + t) of it.
     """
     s0, s1 = p0[0], float(target_x)
@@ -282,9 +210,55 @@ def flight_time(
     v = (field.a * u + field.b * dy) / m
     d = s1 - px
     if kind == "center":
-        t = _center_flight_time(u, v, d, m, s1, required_sign)
+        # Writing x(t) = px + R cos(w t - phi), roots come in the two
+        # families w t - phi = +/- acos(d / R) (mod 2 pi); the family with
+        # +acos has x'(t) <= 0 and the other x'(t) >= 0, so the required sign
+        # selects one family and its smallest non-negative representative is
+        # the answer.  At a start on the target line, a phase near 0 means
+        # both families nearly meet there: a grazing arc, which
+        # refine_flight_time rejects.
+        radius = math.hypot(u, v)
+        if radius <= TANGENCY_TOL or abs(d) > radius + TANGENCY_TOL:
+            raise NeverReaches(f"orbit x-range misses the line x = {s1:g}")
+        cos_arg = max(-1.0, min(1.0, d / radius))
+        psi = math.acos(cos_arg)
+        if math.sin(psi) * radius * m <= TANGENCY_TOL:
+            # |d| = R: the orbit only grazes the line.
+            raise TangentialContact(f"orbit is tangent to the line x = {s1:g}")
+        phi = math.atan2(v, u)
+        theta = psi if required_sign < 0.0 else -psi
+        angle = math.fmod(phi + theta, 2.0 * math.pi)
+        if angle < 0.0:
+            angle += 2.0 * math.pi
+        t = angle / m
     else:
-        t = _saddle_flight_time(field, p0, u, v, d, m, s1, required_sign)
+        # With w = exp(l t), x(t) - s1 = 0 becomes the quadratic
+        # (u+v) w^2 - 2 d w + (u-v) = 0.  Admissible roots have w > 1
+        # (t > 0), with no margin: a start on the target line has its own
+        # root w = 1 deflated out exactly, and a root just above 1 is left
+        # to refine_flight_time.  The earliest admissible root decides: from
+        # a start off the target line, x(t) - s1 keeps the start's sign
+        # until that root, so the orbit arrives from the start's side,
+        # moving in the required direction unless it grazes; from a start on
+        # the line, deflation leaves one root.  A grazing arc's clamped
+        # double root arrives with zero x-velocity, a tangential contact.
+        if p0[0] == s1:
+            # Factor out the t = 0 root: remaining root (u+v) w = (u-v).
+            roots = [] if u + v == 0.0 else [(u - v) / (u + v)]
+        else:
+            roots = quadratic_roots(u + v, -2.0 * d, u - v)
+        times = [math.log(w) / m for w in roots if w > 1.0]
+        if not times:
+            raise NeverReaches(f"saddle arc never reaches the line x = {s1:g}")
+        t = min(times)
+        x, y = flow_closed_form(field, p0, t)
+        vx = field.a * x + field.b * y + field.alpha
+        if abs(vx) <= TANGENCY_TOL:
+            raise TangentialContact(f"arrival at x = {s1:g} is tangential")
+        if not vx * required_sign > 0.0:
+            raise NeverReaches(
+                f"no arrival at x = {s1:g} with the required crossing direction"
+            )
     refine_flight_time(field, p0, s1, t)
     return t
 

@@ -39,12 +39,7 @@ import functools
 import math
 from typing import IO, NamedTuple
 
-from .flow import (
-    CrossingClassification,
-    FlowState,
-    contact_label,
-    quadratic_roots,
-)
+from .flow import CrossingClassification, contact_label, quadratic_roots
 from .model import PiecewiseSystem, Point
 
 DEFAULT_TOL = 1e-9
@@ -119,6 +114,14 @@ class FixedPoint(NamedTuple):
 
     y: float
     d_hi: float
+
+
+class FlowState(NamedTuple):
+    """A point on an orbit, its flow time and the zone it belongs to."""
+
+    point: Point
+    time: float
+    zone: str
 
 
 class SwitchEvent(NamedTuple):

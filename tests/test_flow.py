@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -394,6 +395,18 @@ def test_flight_time_never_reaches_saddle():
         flight_time(field, (1.0, 1.0), -1.0)
 
 
+def test_flight_time_rejects_a_saddle_arrival_in_the_wrong_direction(monkeypatch):
+    # x' = x from (-1, 0): a root w = e puts the orbit at x = -e at t = 1,
+    # moving left, so it cannot be the rightward arrival at x = 1.
+    monkeypatch.setattr(flow, "quadratic_roots", lambda *args: [math.e])
+    field = F(1.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(
+        NeverReaches,
+        match="no arrival at x = 1 with the required crossing direction",
+    ):
+        flight_time(field, (-1.0, 0.0), 1.0)
+
+
 def test_flight_time_saddle_return_arc(examples):
     # SSS outer right zone is a saddle; the return arc is realizable.
     system = examples["SSS"]
@@ -502,11 +515,10 @@ def test_refine_is_two_closed_form_evaluations(examples):
 
 
 def test_cross_check_rejects_an_off_closed_form(monkeypatch):
-    center_flight_time = flow._center_flight_time
-    monkeypatch.setattr(
-        flow, "_center_flight_time",
-        lambda *args: center_flight_time(*args) + 1e-6,
-    )
+    # The centre's phase angle, and so its closed-form time, is off by 1e-6.
+    shifted = types.SimpleNamespace(**vars(math))
+    shifted.atan2 = lambda y, x: math.atan2(y, x) + 1e-6
+    monkeypatch.setattr(flow, "math", shifted)
     field = F(0.0, 1.0, -1.0, 0.0, 0.0)  # unit circle about the origin
     with pytest.raises(ArithmeticError, match="cross-check"):
         flight_time(field, (1.0, 0.5), -1.0)

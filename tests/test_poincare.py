@@ -346,6 +346,13 @@ def test_certified_runs_stay_inside_the_strip(monkeypatch, field, overshoot):
         assert len(starts) == 1 and k > 12
 
 
+def test_no_run_from_the_centre_of_the_step_map():
+    # The orbit of the step map's fixed point c = (0, 0) has no radius to
+    # take a phase from.
+    step = poincare._step_map(F(0.0, 1.0, -1.0, 0.0, 0.0), 0.05)
+    assert poincare._run_length(step, -1.0, 1.0, 0.0, 0.0, 100) == 0
+
+
 @pytest.mark.parametrize("name", sorted(ORBIT_WORK))
 def test_leftward_start_is_off_the_section(examples, name):
     # (1, -3) crosses the right line into the centre zone on every fixture,
