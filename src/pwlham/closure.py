@@ -246,7 +246,37 @@ def _classify_three_zone(
             f"{side}-zone equation vanishes identically, b_{other} b_C != 0"
         )
 
-    return _solve_sums_and_gaps(system, b_c_zero)
+    # Solve P d = Q e and b_C (d^2 - e^2) = 4 W for gaps d, e > 0.
+    a, b, alpha = cf.a, cf.b, cf.alpha
+    s_r, s_l, p, q, w = _sums_and_gaps(system)
+    p_zero = _negligible(p, abs(0.5 * b * s_r) + abs(a) + abs(alpha))
+    q_zero = _negligible(q, abs(0.5 * b * s_l) + abs(alpha) + abs(a))
+    w_zero = _negligible(w, abs(4.0 * cf.beta)
+                         + abs(0.25 * b * (s_r * s_r + s_l * s_l))
+                         + (abs(alpha) + abs(a)) * (abs(s_r) + abs(s_l)))
+    same_sign = not (p_zero or q_zero) and (p > 0.0) == (q > 0.0)
+    # With b_C (Q^2 - P^2) = 0 the difference equation no longer sees the gaps.
+    den = b * (q - p) * (q + p)
+    flat = b_c_zero or _negligible((q - p) * (q + p), p * p + q * q)
+    if (p_zero and q_zero and (w_zero or not b_c_zero)
+            or flat and w_zero and same_sign):
+        return Continuum(
+            "the two reduced conics coincide or share a line: every common "
+            "point closes"
+        )
+    if not w_zero and (flat or (w > 0.0) != (den > 0.0)):
+        return NoSolution("the two reduced conics do not intersect")
+    if not w_zero and same_sign:
+        root = 2.0 * math.sqrt(w / den)
+        d, e = abs(q) * root, abs(p) * root
+        y0, y1 = 0.5 * (s_r + d), 0.5 * (s_r - d)
+        y2, y3 = 0.5 * (s_l - e), 0.5 * (s_l + e)
+        # A gap below half an ulp of its sum collapses the corners in floats.
+        if y1 < y0 and y2 < y3:
+            return UniqueCycleCandidate(y0, y1, y2, y3)
+    return NoSolution(
+        "conic intersections violate the corner orderings y1 < y0, y2 < y3"
+    )
 
 
 def _continuous_family(
@@ -293,40 +323,3 @@ def _sums_and_gaps(system: PiecewiseSystem) -> tuple[float, ...]:
     w = 4.0 * cf.beta - alpha * (s_r - s_l) - a * (s_r + s_l)
     w -= 0.25 * b * (s_r - s_l) * (s_r + s_l)
     return s_r, s_l, p, q, w
-
-
-def _solve_sums_and_gaps(
-    system: PiecewiseSystem, b_c_zero: bool
-) -> ClosureOutcome:
-    """Solve P d = Q e and b_C (d^2 - e^2) = 4 W for gaps d, e > 0."""
-    cf = system.fields[1]
-    a, b, alpha = cf.a, cf.b, cf.alpha
-    s_r, s_l, p, q, w = _sums_and_gaps(system)
-    p_zero = _negligible(p, abs(0.5 * b * s_r) + abs(a) + abs(alpha))
-    q_zero = _negligible(q, abs(0.5 * b * s_l) + abs(alpha) + abs(a))
-    w_zero = _negligible(w, abs(4.0 * cf.beta)
-                         + abs(0.25 * b * (s_r * s_r + s_l * s_l))
-                         + (abs(alpha) + abs(a)) * (abs(s_r) + abs(s_l)))
-    same_sign = not (p_zero or q_zero) and (p > 0.0) == (q > 0.0)
-    # With b_C (Q^2 - P^2) = 0 the difference equation no longer sees the gaps.
-    den = b * (q - p) * (q + p)
-    flat = b_c_zero or _negligible((q - p) * (q + p), p * p + q * q)
-    if (p_zero and q_zero and (w_zero or not b_c_zero)
-            or flat and w_zero and same_sign):
-        return Continuum(
-            "the two reduced conics coincide or share a line: every common "
-            "point closes"
-        )
-    if not w_zero and (flat or (w > 0.0) != (den > 0.0)):
-        return NoSolution("the two reduced conics do not intersect")
-    if not w_zero and same_sign:
-        root = 2.0 * math.sqrt(w / den)
-        d, e = abs(q) * root, abs(p) * root
-        y0, y1 = 0.5 * (s_r + d), 0.5 * (s_r - d)
-        y2, y3 = 0.5 * (s_l - e), 0.5 * (s_l + e)
-        # A gap below half an ulp of its sum collapses the corners in floats.
-        if y1 < y0 and y2 < y3:
-            return UniqueCycleCandidate(y0, y1, y2, y3)
-    return NoSolution(
-        "conic intersections violate the corner orderings y1 < y0, y2 < y3"
-    )

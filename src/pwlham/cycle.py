@@ -296,18 +296,22 @@ def certificate_from_json_dict(doc: object) -> CycleCertificate:
     entries = _member(doc, "certificate", "crossings")
     if not isinstance(entries, list):
         raise ValueError("certificate.crossings must be a JSON array")
-    crossings = tuple(
-        flow.CrossingClassification(
-            _member(entry, f"crossings[{i}]", "label"),
-            _number(entry, f"crossings[{i}]", "derivative_minus"),
-            _number(entry, f"crossings[{i}]", "derivative_plus"),
-        )
-        for i, entry in enumerate(entries)
-    )
+    crossings = []
+    for i, entry in enumerate(entries):
+        where = f"crossings[{i}]"
+        label = _member(entry, where, "label")
+        if label not in ("crossing", "sliding", "escaping", "tangency"):
+            raise ValueError(f"{where}.label must be crossing, sliding, "
+                             f"escaping or tangency, not {label!r}")
+        crossings.append(flow.CrossingClassification(
+            label,
+            _number(entry, where, "derivative_minus"),
+            _number(entry, where, "derivative_plus"),
+        ))
     return CycleCertificate(
         corners=_corner_points([_number(corners, "corners", k) for k in CORNER_KEYS]),
         flight_times=tuple(_number(times, "flight_times", k) for k in TIME_KEYS),
-        crossings=crossings,
+        crossings=tuple(crossings),
         residual_norm=_number(doc, "certificate", "residual_norm"),
         polyline=(),
         period=_number(doc, "certificate", "period"),

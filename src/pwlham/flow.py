@@ -135,21 +135,25 @@ def classify_boundary_point(
         raise NotOnSwitchingLine(
             f"point x = {p[0]:g} is not on line {line_id} (x = {line_x:g})"
         )
-    # The x-component a*x + b*y + alpha of each side's field at p.
-    x, y = p
+    return contact(minus_field, plus_field, *p)
+
+
+def contact(
+    minus_field: LinearHamiltonianField, plus_field: LinearHamiltonianField,
+    x: float, y: float,
+) -> CrossingClassification:
+    """Kind of contact at (x, y) on a switching line with minus_field on its
+    x < line side and plus_field on its x > line side, by the x-component
+    a*x + b*y + alpha of each side's field there."""
     d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
     d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
-    return CrossingClassification(contact_label(d_minus, d_plus), d_minus, d_plus)
-
-
-def contact_label(d_minus: float, d_plus: float) -> str:
-    """Kind of contact on a switching line whose x-velocities are d_minus on
-    its x < line side and d_plus on its x > line side."""
     if abs(d_minus) <= TANGENCY_TOL or abs(d_plus) <= TANGENCY_TOL:
-        return "tangency"
-    if d_minus * d_plus > 0.0:
-        return "crossing"
-    return "sliding" if d_minus > 0.0 else "escaping"
+        label = "tangency"
+    elif d_minus * d_plus > 0.0:
+        label = "crossing"
+    else:
+        label = "sliding" if d_minus > 0.0 else "escaping"
+    return CrossingClassification(label, d_minus, d_plus)
 
 
 def quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:

@@ -14,7 +14,7 @@ strip, or ends at the time budget, is evaluated once on its quartic in its
 length; if it crosses a switching line, the crossing time is localized by
 safeguarded Newton on that quartic minus the line's abscissa, inside the
 step.  The orbit is handed to the zone beyond the exit only when the
-contact classifies as a crossing (flow.contact_label).
+contact classifies as a crossing (flow.contact).
 The return map records no states, so inside a strip it jumps each run of
 whole steps at once with a power of the zone's RK4 step map p -> p + E p + e.
 Since M^2 = D I for the zone's linear part M, every power of I + E is a
@@ -39,7 +39,7 @@ import functools
 import math
 from typing import IO, NamedTuple
 
-from .flow import CrossingClassification, contact_label, quadratic_roots
+from .flow import CrossingClassification, contact, quadratic_roots
 from .model import PiecewiseSystem, Point
 
 DEFAULT_TOL = 1e-9
@@ -191,7 +191,13 @@ def _step_map(field, h: float) -> tuple:
 
 def _run_length(step: tuple, lo: float, hi: float, x: float, y: float, cap: int) -> int:
     """The most whole steps, up to cap, that provably keep the abscissa
-    RUN_MARGIN inside (lo, hi) from (x, y); 0 when there is no such run."""
+    RUN_MARGIN inside (lo, hi) from (x, y); 0 when there is no such run.
+
+    The shrunk strip (x_lo, x_hi) is taken about c_x.  About a centre,
+    x_j - c_x = R rho^j cos(j theta - phi), R cos(phi) = ux, R sin(phi) = v;
+    about a saddle, x_j - c_x = A lam_up^j + B lam_down^j, A = (ux + v)/2,
+    B = (ux - v)/2.
+    """
     a, b, _, d, _, _, cx, cy, speed, shape = step[6:]
     ux = x - cx
     v = (a * ux + b * (y - cy)) / speed
@@ -199,38 +205,28 @@ def _run_length(step: tuple, lo: float, hi: float, x: float, y: float, cap: int)
     x_lo, x_hi = lo - cx + margin, hi - cx - margin
     if not x_lo < x_hi:
         return 0
-    return (_centre_run if d < 0.0 else _saddle_run)(shape, x_lo, x_hi, ux, v, cap)
-
-
-def _centre_run(shape, x_lo, x_hi, ux, v, cap):
-    """_run_length about a centre, with the shrunk strip taken about c_x:
-    x_j - c_x = R rho^j cos(j theta - phi), R cos(phi) = ux, R sin(phi) = v."""
-    theta, turn, rho_lo, rho_hi = shape
-    radius = math.hypot(ux, v)
-    if not radius > 0.0:
-        return 0
-    phi = math.atan2(v, ux)
-    k = min(cap, turn)
-    # Within one turn rho^j lies in [rho_lo, rho_hi], so step j can pass a
-    # shrunk line only in a phase window cos(j theta - phi - mid) >= g.  The
-    # run stops one step before the first step inside either window.
-    for mid, reach in ((0.0, x_hi), (math.pi, -x_lo)):
-        g = reach / (radius * (rho_hi if reach > 0.0 else rho_lo))
-        if g > 1.0:
-            continue
-        if g <= -1.0:
+    if d < 0.0:
+        theta, turn, rho_lo, rho_hi = shape
+        radius = math.hypot(ux, v)
+        if not radius > 0.0:
             return 0
-        half = math.acos(g)
-        first = (theta - phi - mid + half) % math.tau  # step 1, from the window's start
-        if first <= 2.0 * half:
-            return 0
-        k = min(k, math.ceil((math.tau - first) / theta))
-    return k
-
-
-def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
-    """_run_length about a saddle, with the shrunk strip taken about c_x:
-    x_j - c_x = A lam_up^j + B lam_down^j, A = (ux + v)/2, B = (ux - v)/2."""
+        phi = math.atan2(v, ux)
+        k = min(cap, turn)
+        # Within one turn rho^j lies in [rho_lo, rho_hi], so step j can pass a
+        # shrunk line only in a phase window cos(j theta - phi - mid) >= g.  The
+        # run stops one step before the first step inside either window.
+        for mid, reach in ((0.0, x_hi), (math.pi, -x_lo)):
+            g = reach / (radius * (rho_hi if reach > 0.0 else rho_lo))
+            if g > 1.0:
+                continue
+            if g <= -1.0:
+                return 0
+            half = math.acos(g)
+            first = (theta - phi - mid + half) % math.tau  # step 1, from the window's start
+            if first <= 2.0 * half:
+                return 0
+            k = min(k, math.ceil((math.tau - first) / theta))
+        return k
     log_up, log_down, growth_cap = shape
     if not x_lo < ux < x_hi:
         return 0
@@ -249,16 +245,13 @@ def _saddle_run(shape, x_lo, x_hi, ux, v, cap):
     if up * down > 0.0:
         extremum = math.log(-down * log_down / (up * log_up)) / (log_up - log_down)
     while k > 0 and not (
-        x_lo < _saddle_x(shape, up, down, k) < x_hi
-        and (not 0.0 < extremum < k or x_lo < _saddle_x(shape, up, down, extremum) < x_hi)
+        x_lo < up * math.exp(k * log_up) + down * math.exp(k * log_down) < x_hi
+        and (not 0.0 < extremum < k
+             or x_lo < up * math.exp(extremum * log_up)
+             + down * math.exp(extremum * log_down) < x_hi)
     ):
         k //= 2
     return max(k, 0)
-
-
-def _saddle_x(shape, up: float, down: float, s: float) -> float:
-    """A lam_up^s + B lam_down^s, the abscissa about c_x after s steps."""
-    return up * math.exp(s * shape[0]) + down * math.exp(s * shape[1])
 
 
 def _jump_powers(step: tuple, k: int) -> tuple[float, float]:
@@ -364,10 +357,7 @@ def _entered_zone(line: tuple, p: Point) -> str:
     """Zone that a start point p on a line crosses into, given the line's
     exit record (see _zone_table)."""
     line_id, _, minus_field, plus_field, minus_zone, plus_zone = line
-    x, y = p
-    d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
-    d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
-    label = contact_label(d_minus, d_plus)
+    label, _, d_plus = contact(minus_field, plus_field, *p)
     if label != "crossing":
         raise SlidingEncountered(
             f"start point {p} on line {line_id} is {label}",
@@ -392,7 +382,7 @@ def integrate_numeric(
     the step's quartic in its length.  If it reaches a switching line, the
     crossing time is found inside that step by safeguarded Newton on the
     quartic, to EVENT_TOL, and its contact is classified by the two one-sided
-    x-velocities there (flow.contact_label).  A crossing hands the orbit to
+    x-velocities there (flow.contact).  A crossing hands the orbit to
     the zone beyond the exit, while a sliding/escaping/tangential contact
     raises SlidingEncountered with the partial trajectory attached.  A step
     that would end at a state that is not finite ends the run instead, so
@@ -504,17 +494,14 @@ def integrate_numeric(
         # The event is snapped onto the line.
         x, y = line_x, y + tau * (v1y + tau * (y2 + tau * (y3 + tau * y4)))
         t += tau
-        # The one-sided x-velocities that flow.classify_boundary_point compares.
-        d_minus = minus_field.a * x + minus_field.b * y + minus_field.alpha
-        d_plus = plus_field.a * x + plus_field.b * y + plus_field.alpha
-        label = contact_label(d_minus, d_plus)
+        classification = contact(minus_field, plus_field, x, y)
+        label, _, d_plus = classification
         if not until_return:
             states.append(FlowState((x, y), t, zone))
         zone = plus_zone if d_plus > 0.0 else minus_zone
         returned = until_return and line_id == section and zone == outer
         if label != "crossing" or returned or not until_return:
-            contact = CrossingClassification(label, d_minus, d_plus)
-            events.append(SwitchEvent(t, (x, y), line_id, contact))
+            events.append(SwitchEvent(t, (x, y), line_id, classification))
         if label != "crossing":
             raise SlidingEncountered(
                 f"{label} contact at {(x, y)} on line {line_id} (t = {t:g})",

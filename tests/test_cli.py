@@ -761,12 +761,21 @@ def test_oracle_unbracketed_y0_is_a_mismatch(tmp_path, monkeypatch, capsys, name
     )
 
 
+def _relabelled(doc: dict, label: object) -> dict:
+    """A certificate document with its first crossing's label replaced."""
+    first, *rest = doc["crossings"]
+    return {**doc, "crossings": [{**first, "label": label}, *rest]}
+
+
 @pytest.mark.parametrize(
     "tamper, bad_key",
     [
         (lambda doc: [1, 2], "certificate"),
         (lambda doc: {**doc, "corners": None}, "corners"),
         (lambda doc: {**doc, "crossings": [1, *doc["crossings"][1:]]}, "crossings[0]"),
+        (lambda doc: _relabelled(doc, 5), "crossings[0].label"),
+        (lambda doc: _relabelled(doc, None), "crossings[0].label"),
+        (lambda doc: _relabelled(doc, "crossed"), "crossings[0].label"),
         (lambda doc: {**doc, "period": "soon"}, "period"),
         (lambda doc: {**doc, "period": True}, "period"),
         (lambda doc: {**doc, "period": "12"}, "period"),
@@ -780,7 +789,8 @@ def test_oracle_unbracketed_y0_is_a_mismatch(tmp_path, monkeypatch, capsys, name
         (lambda doc: {**doc, "period": 10**400},
          "certificate.period must be a number"),
     ],
-    ids=["root-array", "null-corners", "crossing-not-object", "text-period",
+    ids=["root-array", "null-corners", "crossing-not-object", "number-label",
+         "null-label", "unknown-label", "text-period",
          "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times",
          "crossings-object", "period-401-digits"],
 )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 import random
 import types
 
@@ -311,6 +313,21 @@ def test_not_on_switching_line():
     )
     with pytest.raises(NotOnSwitchingLine):
         classify_boundary_point(system, (0.5, 0.0), "C")
+
+
+def test_only_contact_builds_a_classification():
+    """A switching-line contact is classified in one place, flow.contact: in
+    the package only it and the certificate reader, which rebuilds recorded
+    classifications, call CrossingClassification(...)."""
+    callers = set()
+    for path in pathlib.Path(flow.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "CrossingClassification" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("flow", "contact"), ("cycle", "certificate_from_json_dict")}
 
 
 # --- flight times ------------------------------------------------------------------

@@ -244,6 +244,19 @@ def _record_calls(monkeypatch, name: str, seen) -> list:
     return calls
 
 
+def _shrunk_strip(step, lo, hi, x, y, cap) -> tuple:
+    """(D, x_lo, x_hi, ux, v) of a _run_length call: the zone's D, the strip
+    (lo, hi) shrunk by the RUN_MARGIN margin and taken about the step map's
+    fixed point c, and the start's phase coordinates about c."""
+    a, b = step[6:8]
+    d = step[9]
+    cx, cy, speed = step[12:15]
+    ux = x - cx
+    v = (a * ux + b * (y - cy)) / speed
+    margin = poincare.RUN_MARGIN * (1.0 + abs(ux) + abs(v) + abs(cx))
+    return d, lo - cx + margin, hi - cx - margin, ux, v
+
+
 def test_saddle_run_from_inside_the_margin_matches_step_by_step(monkeypatch):
     # The right zone's saddle has its singular point 1e-9 left of the
     # section, so the orbit from (1, 0) enters at x-speed 1e-9 and its first
@@ -253,12 +266,12 @@ def test_saddle_run_from_inside_the_margin_matches_step_by_step(monkeypatch):
         F(0.0, 1.0, -1.0, 0.0, 0.0), F(0.0, 1.0, -1.0, 1.0, 0.0),
         F(1.0, 0.0, 0.0, 1e-9 - 1.0, 0.0),
     )
-    outside = _record_calls(
-        monkeypatch, "_saddle_run",
-        lambda shape, x_lo, x_hi, ux, v, cap: not x_lo < ux < x_hi,
-    )
+    strips = _record_calls(monkeypatch, "_run_length", _shrunk_strip)
     jumped, stepped = _jumped_and_stepped(monkeypatch, system, 0.0)
-    assert any(outside)
+    assert any(
+        not d < 0.0 and x_lo < x_hi and not x_lo < ux < x_hi
+        for d, x_lo, x_hi, ux, v in strips
+    )
     _assert_same_outcome(jumped, stepped, "saddle")
 
 
@@ -272,12 +285,12 @@ def test_centre_run_past_the_margin_matches_step_by_step(monkeypatch):
         F(0.0, slow, -slow, 0.0, -slow * 1e-9), F(0.0, 1.0, -1.0, 0.0, 0.0),
         F(0.0, slow, -slow, 0.0, slow * 1e-9),
     )
-    wholly_outside = _record_calls(
-        monkeypatch, "_centre_run",
-        lambda shape, x_lo, x_hi, ux, v, cap: x_lo >= math.hypot(ux, v),
-    )
+    strips = _record_calls(monkeypatch, "_run_length", _shrunk_strip)
     jumped, stepped = _jumped_and_stepped(monkeypatch, system, math.sqrt(2e-9))
-    assert any(wholly_outside)
+    assert any(
+        d < 0.0 and x_lo < x_hi and x_lo >= math.hypot(ux, v)
+        for d, x_lo, x_hi, ux, v in strips
+    )
     _assert_same_outcome(jumped, stepped, "centre")
 
 
