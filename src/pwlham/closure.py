@@ -206,13 +206,13 @@ def _classify_three_zone(
     b_r_zero = _negligible(rf.b, scale)
     b_l_zero = _negligible(lf.b, scale)
     b_c_zero = _negligible(cf.b, scale)
-    g_r_zero = _negligible(rf.a + rf.alpha, scale)
-    g_l_zero = _negligible(lf.a - lf.alpha, scale)
-    g_c_zero = _negligible(cf.alpha - cf.a, scale)
+    # Each paired combination is tested only where its b vanishes, the one
+    # place it is read.
+    g_c_zero = b_c_zero and _negligible(cf.alpha - cf.a, scale)
 
-    if b_r_zero and not g_r_zero:
+    if b_r_zero and not _negligible(rf.a + rf.alpha, scale):
         return NoSolution("b_R = 0 with a_R + alpha_R != 0")
-    if b_l_zero and not g_l_zero:
+    if b_l_zero and not _negligible(lf.a - lf.alpha, scale):
         return NoSolution("b_L = 0 with a_L - alpha_L != 0")
 
     if b_r_zero and b_l_zero:

@@ -4,7 +4,8 @@ A closure solution is only a candidate: the four corner ordinates solve the
 energy-matching equations, but an actual crossing limit cycle additionally
 needs transversal crossings at every corner and four realizable arcs that
 chain back to the starting corner.  ``certify`` performs those checks and
-packages the result with the reason it was accepted or rejected;
+packages the result with the code and values of why it was accepted or
+rejected, from which its ``reason`` text is rendered when read;
 ``verify_certificate`` re-derives every invariant from scratch so a
 certificate can be audited after the fact.
 """
@@ -70,13 +71,63 @@ class CycleCertificate(NamedTuple):
     polyline: tuple[Point, ...]
     period: float
 
+    @property
+    def multiplier(self) -> float:
+        """The return map's derivative P' at the cycle, from the crossings.
+
+        Every zone field is divergence-free, so an arc maps a segment of its
+        start line onto its end line with derivative (x-velocity at the
+        start) / (x-velocity at the end), and P' is the product over the four
+        corners of (x-velocity leaving) / (x-velocity arriving).  Along the
+        clockwise traversal the orbit leaves corners 0 and 3 on their lines'
+        x > side and corners 1 and 2 on their x < side; a counterclockwise
+        traversal would swap leaving and arriving at every corner, giving
+        1 / P'.
+        """
+        c0, c1, c2, c3 = self.crossings
+        return (
+            c0.derivative_plus * c1.derivative_minus
+            * c2.derivative_minus * c3.derivative_plus
+        ) / (
+            c0.derivative_minus * c1.derivative_plus
+            * c2.derivative_plus * c3.derivative_minus
+        )
+
+
+# The text of each certify code, formatted with the result's values.
+REASON_TEMPLATES = {
+    "certified": "certified",
+    "no_solution": "no solution: {}",
+    "continuum": "continuum of periodic orbits: {}",
+    "reject.corner_not_crossing":
+        "algebraic solution, not a crossing cycle: corner {} on line {} is {.label}",
+    "reject.arc_unrealizable":
+        "arc from {0} toward x = {1:g} is not realizable: {3}",
+    "reject.landing_gap": "arc from {} lands at {}, expected {} (gap {:.3e})",
+    "reject.residual": "closure residual {:.3e} exceeds {:g}",
+}
+
 
 class CertificationResult(NamedTuple):
-    """Outcome of the closure analysis plus the certificate when one exists."""
+    """Outcome of the closure analysis plus the certificate when one exists.
+
+    code names why (a key of REASON_TEMPLATES) and values hold what decided
+    it: the closure's text for no_solution and continuum; (corner, line,
+    CrossingClassification) for reject.corner_not_crossing; (start, target
+    abscissa, exception class name, exception text) for
+    reject.arc_unrealizable; (start, landing, end, gap) for
+    reject.landing_gap; (residual norm, RESIDUAL_TOL) for reject.residual.
+    """
 
     outcome: closure.ClosureOutcome
     certificate: Optional[CycleCertificate]
-    reason: str
+    code: str
+    values: tuple
+
+    @property
+    def reason(self) -> str:
+        """The human-readable text of code and values."""
+        return REASON_TEMPLATES[self.code].format(*self.values)
 
 
 class CheckResult(NamedTuple):
@@ -109,17 +160,19 @@ def certify(
 ) -> CertificationResult:
     """Run the closure analysis and, if it isolates a candidate, certify it.
 
-    A candidate is rejected (certificate None, reason filled in) at the first
-    failed check, in order: a corner that is not a crossing; an arc that
-    fails to reach its target line or to confirm its arrival time; a landing
-    off its end corner by more than CLOSURE_TOL; a residual over RESIDUAL_TOL.
+    A candidate is rejected (certificate None, code and values filled in) at
+    the first failed check, in order: a corner that is not a crossing; an
+    arc that fails to reach its target line or to confirm its arrival time; a
+    landing off its end corner by more than CLOSURE_TOL; a residual over
+    RESIDUAL_TOL.  The result's reason text is rendered from the code and
+    values only when it is read.
     """
     outcome = closure.solve(system)
     if isinstance(outcome, closure.NoSolution):
-        return CertificationResult(outcome, None, f"no solution: {outcome.reason}")
+        return CertificationResult(outcome, None, "no_solution", (outcome.reason,))
     if isinstance(outcome, closure.Continuum):
         return CertificationResult(
-            outcome, None, f"continuum of periodic orbits: {outcome.description}"
+            outcome, None, "continuum", (outcome.description,)
         )
     corners = _corner_points(outcome)
 
@@ -128,9 +181,7 @@ def certify(
         cls = flow.classify_boundary_point(system, corner, line_id)
         if cls.label != "crossing":
             return CertificationResult(
-                outcome, None,
-                f"algebraic solution, not a crossing cycle: corner {corner} "
-                f"on line {line_id} is {cls.label}",
+                outcome, None, "reject.corner_not_crossing", (corner, line_id, cls)
             )
         crossings.append(cls)
 
@@ -140,17 +191,17 @@ def certify(
         try:
             t = flow.flight_time(field, start, end[0])
         except (flow.NeverReaches, flow.TangentialContact, ArithmeticError) as exc:
+            # The exception's name and text, not the exception: its traceback
+            # would keep this frame and its locals alive with the result.
             return CertificationResult(
-                outcome, None,
-                f"arc from {start} toward x = {end[0]:g} is not realizable: {exc}",
+                outcome, None, "reject.arc_unrealizable",
+                (start, end[0], type(exc).__name__, str(exc)),
             )
         landing = flow.flow_closed_form(field, start, t)
         gap = max(abs(landing[0] - end[0]), abs(landing[1] - end[1]))
         if gap > CLOSURE_TOL:
             return CertificationResult(
-                outcome, None,
-                f"arc from {start} lands at {landing}, expected {end} "
-                f"(gap {gap:.3e})",
+                outcome, None, "reject.landing_gap", (start, landing, end, gap)
             )
         samples = flow.orbit_samples(field, start, t, samples_per_arc)
         if polyline:
@@ -161,8 +212,7 @@ def certify(
     residual_norm = max(map(abs, closure.residuals_three_zone(system, *outcome)))
     if residual_norm > RESIDUAL_TOL:
         return CertificationResult(
-            outcome, None,
-            f"closure residual {residual_norm:.3e} exceeds {RESIDUAL_TOL:g}",
+            outcome, None, "reject.residual", (residual_norm, RESIDUAL_TOL)
         )
 
     certificate = CycleCertificate(
@@ -173,7 +223,7 @@ def certify(
         polyline=tuple(polyline),
         period=math.fsum(times),
     )
-    return CertificationResult(outcome, certificate, "certified")
+    return CertificationResult(outcome, certificate, "certified", ())
 
 
 def verify_certificate(
@@ -296,6 +346,9 @@ def certificate_from_json_dict(doc: object) -> CycleCertificate:
     entries = _member(doc, "certificate", "crossings")
     if not isinstance(entries, list):
         raise ValueError("certificate.crossings must be a JSON array")
+    if len(entries) != len(CORNER_KEYS):
+        raise ValueError(f"certificate.crossings must hold {len(CORNER_KEYS)} "
+                         f"entries, one per corner, not {len(entries)}")
     crossings = []
     for i, entry in enumerate(entries):
         where = f"crossings[{i}]"

@@ -241,26 +241,26 @@ def is_continuous(system: PiecewiseSystem) -> tuple[bool, dict[str, float]]:
         return system._continuity
     if system.layout.n_zones == 2:
         lf, rf = system.fields
-        gaps = {
-            "a_R - a_L": rf.a - lf.a,
-            "b_R - b_L": rf.b - lf.b,
-            "alpha_R - alpha_L": rf.alpha - lf.alpha,
-            "beta_R - beta_L": rf.beta - lf.beta,
-        }
+        gaps = (
+            ("a_R - a_L", rf.a - lf.a),
+            ("b_R - b_L", rf.b - lf.b),
+            ("alpha_R - alpha_L", rf.alpha - lf.alpha),
+            ("beta_R - beta_L", rf.beta - lf.beta),
+        )
     else:
         lf, cf, rf = system.fields
-        gaps = {
-            "a_R - a_C": rf.a - cf.a,
-            "a_L - a_C": lf.a - cf.a,
-            "b_R - b_C": rf.b - cf.b,
-            "b_L - b_C": lf.b - cf.b,
-            "alpha_R - alpha_C": rf.alpha - cf.alpha,
-            "alpha_L - alpha_C": lf.alpha - cf.alpha,
-            "beta_R - beta_C - c_C + c_R": rf.beta - cf.beta - cf.c + rf.c,
-            "beta_L - beta_C - c_L + c_C": lf.beta - cf.beta - lf.c + cf.c,
-        }
+        gaps = (
+            ("a_R - a_C", rf.a - cf.a),
+            ("a_L - a_C", lf.a - cf.a),
+            ("b_R - b_C", rf.b - cf.b),
+            ("b_L - b_C", lf.b - cf.b),
+            ("alpha_R - alpha_C", rf.alpha - cf.alpha),
+            ("alpha_L - alpha_C", lf.alpha - cf.alpha),
+            ("beta_R - beta_C - c_C + c_R", rf.beta - cf.beta - cf.c + rf.c),
+            ("beta_L - beta_C - c_L + c_C", lf.beta - cf.beta - lf.c + cf.c),
+        )
     tol = CONTINUITY_TOL * (1.0 + system.coefficient_scale)
-    violations = {name: gap for name, gap in gaps.items() if abs(gap) > tol}
+    violations = {name: gap for name, gap in gaps if abs(gap) > tol}
     system._continuity = (not violations, violations)
     return system._continuity
 

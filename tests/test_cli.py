@@ -484,15 +484,22 @@ def test_two_zone_input_supported(tmp_path):
     assert json.loads(out.read_text())["limit_cycle"] is False
 
 
-@pytest.mark.parametrize("command", ["classify", "solve"])
+_GOLDEN_INPUTS = ["continuous", "two_zone", "scs_grazing", "opposite_gaps",
+                  "opposite_gaps_b_c_zero"]
+
+
 @pytest.mark.parametrize(
-    "name",
-    [n.lower() for n in FIXTURE_NAMES]
-    + ["continuous", "two_zone", "scs_grazing", "opposite_gaps", "opposite_gaps_b_c_zero"],
+    "name, command",
+    [(name, command)
+     for command in ("classify", "solve")
+     for name in [n.lower() for n in FIXTURE_NAMES] + _GOLDEN_INPUTS]
+    + [(name, "cycle")
+       for name in ("continuous", "two_zone", "opposite_gaps", "opposite_gaps_b_c_zero")],
 )
 def test_output_matches_golden_bytes(name, command, tmp_path, capsys):
     # Only +, -, *, / and sqrt reach these outputs, so the bytes are the same
-    # on every IEEE platform.
+    # on every IEEE platform.  The cycle reports are those of inputs without
+    # a candidate: their text comes from the closure analysis alone.
     path = GOLDEN / f"{name}.input.json"
     if name.upper() in FIXTURE_NAMES:
         path = tmp_path / f"{name}.json"
@@ -785,6 +792,11 @@ def _relabelled(doc: dict, label: object) -> dict:
          "flight_times"),
         (lambda doc: {**doc, "crossings": {}},
          "certificate.crossings must be a JSON array"),
+        (lambda doc: {**doc, "crossings": []}, "certificate.crossings"),
+        (lambda doc: {**doc, "crossings": doc["crossings"][:3]},
+         "certificate.crossings"),
+        (lambda doc: {**doc, "crossings": [*doc["crossings"], doc["crossings"][0]]},
+         "certificate.crossings"),
         # A JSON integer past the float range.
         (lambda doc: {**doc, "period": 10**400},
          "certificate.period must be a number"),
@@ -792,7 +804,8 @@ def _relabelled(doc: dict, label: object) -> dict:
     ids=["root-array", "null-corners", "crossing-not-object", "number-label",
          "null-label", "unknown-label", "text-period",
          "bool-period", "text-12", "text-nan", "text-inf", "no-flight-times",
-         "crossings-object", "period-401-digits"],
+         "crossings-object", "no-crossings", "three-crossings",
+         "five-crossings", "period-401-digits"],
 )
 def test_malformed_certificate_is_input_error(ccc_path, tmp_path, capsys,
                                               tamper, bad_key):

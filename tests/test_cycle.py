@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlham import closure, flow, model
+from pwlham import closure, flow, model, poincare
 from pwlham.cli import fixture_text
 from pwlham.closure import Continuum, NoSolution, UniqueCycleCandidate
 from pwlham.cycle import (
@@ -126,6 +126,23 @@ def test_certificates_persist_under_small_perturbations(examples):
                 certified += 1
                 assert verify_certificate(result.certificate, nearby).passed
     assert certified >= 80
+
+
+# The return map's derivative at each fixture's cycle: all six are unstable.
+MULTIPLIERS = {"CCC": 7.163690, "SCC": 11.385856, "SCS": 6.843308,
+               "CSC": 1.671607, "SSS": 1.088037, "SSC": 2.349417}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLIERS))
+def test_multiplier_is_the_return_map_derivative(examples, name):
+    system = examples[name]
+    cert = find_limit_cycle(system, samples_per_arc=2)
+    assert cert.multiplier == pytest.approx(MULTIPLIERS[name], abs=5e-7)
+    # A central difference of the independent RK4 return map at the cycle.
+    y0, h = cert.corners[0][1], 1e-5
+    slope = (poincare.return_map(system, y0 + h)
+             - poincare.return_map(system, y0 - h)) / (2.0 * h)
+    assert slope == pytest.approx(cert.multiplier, rel=1e-5)
 
 
 def test_cycle_period_is_time_sum(ccc):
@@ -275,7 +292,8 @@ def test_candidate_with_a_closure_residual_is_rejected(ccc, monkeypatch):
     result = certify(ccc)
     assert isinstance(result.outcome, UniqueCycleCandidate)
     assert result.certificate is None
-    assert result.reason.startswith("closure residual"), result.reason
+    assert result.code == "reject.residual"
+    assert result.reason == "closure residual 1.000e-08 exceeds 1e-09"
 
 
 def test_rejection_reason_for_non_crossing_candidate():
@@ -370,7 +388,9 @@ def test_verification_rejects_edited_recorded_values(ccc):
     assert not check.passed
     assert check.measured == pytest.approx(1e-3, rel=1e-6)
 
-    _, check = _recorded_check(_tampered(cert, crossings=shifted[:3]), ccc)
+    # certificate_from_json_dict refuses a short crossings array, so the
+    # short tuple is built in code.
+    _, check = _recorded_check(cert._replace(crossings=cert.crossings[:3]), ccc)
     assert check.measured == float("inf")
 
     shifted[0]["derivative_minus"] = float("nan")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import runpy
 import sys
 from collections import Counter
@@ -31,30 +32,72 @@ def test_random_survey_report(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_random_survey_rejection_tally():
-    # Why each of the 722 candidates among the first 2,000 seed-0 draws
-    # (drawn as the survey script draws them) is rejected: a corner's
-    # contact, an arc that never reaches its line, or one that lands off its
-    # corner.  The contact and flight-time rules decide every count.
-    # certify misses counterclockwise cycles: draw 1182 (0-based), one of
-    # the 3 "lands at" rejections, certifies once mirrored by y -> -y, so
-    # mending that moves this tally and the pinned report above.
-    expected = {
-        "is escaping": 374, "is sliding": 326, "saddle arc never reaches": 17,
-        "lands at": 3, "certified": 2,
-    }
+def _survey_certifications(seed: int, count: int):
+    """(draw index, certify result) of each discontinuous system among the
+    first count draws of seed, drawn as the survey script draws them."""
     random_field = runpy.run_path(str(ROOT / "scripts" / "random_survey.py"))["random_field"]
-    rng = random.Random(0)
-    tally: Counter[str] = Counter()
-    for _ in range(2000):
+    rng = random.Random(seed)
+    for index in range(count):
         system = PiecewiseSystem.three_zone(*(random_field(rng) for _ in "LCR"))
-        if is_continuous(system)[0]:
-            continue
-        result = certify(system, samples_per_arc=8)
+        if not is_continuous(system)[0]:
+            yield index, certify(system, samples_per_arc=8)
+
+
+def test_random_survey_rejection_tally():
+    # Why each of the 722 candidates among the first 2,000 seed-0 draws is
+    # rejected, by code: a corner's contact (with its label), an arc that
+    # never reaches its line (with the exception's class), or one that lands
+    # off its corner.  The contact and flight-time rules decide every count.
+    # certify misses counterclockwise cycles: draw 1182 (0-based), one of
+    # the 3 landing gaps, certifies once mirrored by y -> -y, so mending
+    # that moves this tally and the pinned report above.
+    expected = {
+        ("reject.corner_not_crossing", "escaping"): 374,
+        ("reject.corner_not_crossing", "sliding"): 326,
+        ("reject.arc_unrealizable", "NeverReaches"): 17,
+        ("reject.landing_gap", None): 3,
+        ("certified", None): 2,
+    }
+    tally: Counter[tuple] = Counter()
+    for _, result in _survey_certifications(0, 2000):
         if isinstance(result.outcome, UniqueCycleCandidate):
-            (kind,) = [k for k in expected if k in result.reason]
-            tally[kind] += 1
+            detail = None
+            if result.code == "reject.corner_not_crossing":
+                detail = result.values[2].label
+            elif result.code == "reject.arc_unrealizable":
+                detail = result.values[2]
+            tally[result.code, detail] += 1
     assert tally == expected
+
+
+def test_survey_rejection_texts_are_pinned():
+    # The reason text each rejection code renders, on seed-0 draws (0-based
+    # over all draws).  The corners and starts come from the closure, which
+    # uses +, -, *, / and sqrt only, so their digits are the same on every
+    # IEEE platform; a landing goes through libm, so of draw 95 only the
+    # closure's parts are pinned.
+    results = dict(_survey_certifications(0, 96))
+    pinned = {
+        6: ("reject.corner_not_crossing",
+            "algebraic solution, not a crossing cycle: corner "
+            "(-1.0, 2.760497539398478) on line L is escaping"),
+        9: ("reject.corner_not_crossing",
+            "algebraic solution, not a crossing cycle: corner "
+            "(1.0, -1.670783125575947) on line R is sliding"),
+        56: ("reject.arc_unrealizable",
+             "arc from (1.0, 52.947864007923044) toward x = 1 is not "
+             "realizable: saddle arc never reaches the line x = 1"),
+    }
+    for index, (code, reason) in pinned.items():
+        assert (results[index].code, results[index].reason) == (code, reason), index
+    assert results[56].values[2] == "NeverReaches"
+    gap = results[95]
+    assert gap.code == "reject.landing_gap"
+    assert re.fullmatch(
+        r"arc from \(1\.0, -4\.497727945175971\) lands at \(\S+, \S+\), "
+        r"expected \(-1\.0, -5\.627264319889142\) \(gap \d\.\d{3}e[+-]\d\d\)",
+        gap.reason,
+    ), gap.reason
 
 
 def _sha256(path: Path) -> str:
