@@ -27,7 +27,9 @@ still meet every exit, event, contact and budget end.
 The first return to the right line with rightward motion defines the return
 map on that line, and Anderson-Bjorck false position on a sign-changing
 bracket of the displacement return_map(y) - y locates its fixed points, i.e.
-periodic orbits.
+periodic orbits.  The fixed point it reports is one of the ordinates it
+integrated, and first_return keeps its last few answers, so the return time
+of that fixed point is read back rather than integrated again.
 
 Everything here deliberately avoids the closed-form flow and flight-time
 machinery so that agreement between the two routes is meaningful evidence.
@@ -109,8 +111,10 @@ class BadBracket(ValueError):
 
 
 class FixedPoint(NamedTuple):
-    """A zero y of the displacement return_map(y) - y, and the displacement
-    d_hi at the upper end of the bracket it was found in."""
+    """A zero y of the displacement return_map(y) - y, within
+    FIXED_POINT_Y_TOL, and the displacement d_hi at the upper end of the
+    bracket it was found in.  y is an ordinate fixed_point integrated, so
+    first_return(system, y, tol) is that probe's own return."""
 
     y: float
     d_hi: float
@@ -574,8 +578,17 @@ def first_return(
 
     The orbit is followed through zone handoffs until it crosses the right
     line moving rightward again; NoReturn if it starts leftward or never
-    returns.
+    returns.  The last few answers are kept per (system, y, tol), however
+    tol is passed, so the oracle reads the return time of the fixed point
+    that fixed_point probed instead of integrating it again; a system is
+    keyed by identity, as _zone_table keys it.  A raised NoReturn or
+    SlidingEncountered is not kept: every such call runs again.
     """
+    return _first_return(system, y, tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _first_return(system: PiecewiseSystem, y: float, tol: float) -> tuple[float, float]:
     section_x = _zone_table(system, tol)[3][-1][1]
     start: Point = (section_x, y)
     trajectory = integrate_numeric(system, start, RETURN_T_MAX, tol, until_return=True)
@@ -604,7 +617,12 @@ def fixed_point(
     displacement over that of the end it replaces, or halved when that
     factor is not positive (Anderson & Bjorck, BIT 13, 1973).  After as
     many probes as bisection would need, the rest bisect, so the bracket
-    always closes to FIXED_POINT_Y_TOL in at most twice that many.
+    always closes to FIXED_POINT_Y_TOL in at most twice that many.  The
+    zero returned is the end of that final bracket whose displacement, as
+    integrated and not as scaled, is smaller in magnitude; a probe whose
+    displacement is exactly zero ends the search there.  Both ends hold
+    displacements of opposite sign and lie within FIXED_POINT_Y_TOL of each
+    other, so either lies within FIXED_POINT_Y_TOL of the zero between them.
     """
     y_lo, y_hi = bracket
     if not y_lo < y_hi:
@@ -612,6 +630,9 @@ def fixed_point(
     d_lo = return_map(system, y_lo, tol) - y_lo
     d_hi = return_map(system, y_hi, tol) - y_hi
     d_upper = d_hi
+    # The ends' displacements as integrated; the secant reads d_lo and d_hi,
+    # which the Anderson-Bjorck rule scales.
+    raw_lo, raw_hi = d_lo, d_hi
     if d_lo == 0.0:
         return FixedPoint(y_lo, d_upper)
     if d_hi == 0.0:
@@ -638,15 +659,15 @@ def fixed_point(
             if kept == "hi":
                 scale = 1.0 - d / d_lo
                 d_hi *= scale if scale > 0.0 else 0.5
-            y_lo, d_lo = y, d
+            y_lo, d_lo, raw_lo = y, d, d
             kept = "hi"
         else:
             if kept == "lo":
                 scale = 1.0 - d / d_hi
                 d_lo *= scale if scale > 0.0 else 0.5
-            y_hi, d_hi = y, d
+            y_hi, d_hi, raw_hi = y, d, d
             kept = "lo"
-    return FixedPoint(0.5 * (y_lo + y_hi), d_upper)
+    return FixedPoint(y_lo if abs(raw_lo) < abs(raw_hi) else y_hi, d_upper)
 
 
 def fixed_point_near(

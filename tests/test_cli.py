@@ -700,22 +700,32 @@ def test_only_plot_sets_the_sample_count(ccc_path, tmp_path, monkeypatch):
 def test_oracle_return_map_count(tmp_path, monkeypatch):
     # fixed_point on the narrowest bracket (two ends and the false-position
     # probes; the upper end also gives the slope sign) and the return time.
-    calls = []
+    # That return starts from a probe's ordinate, so first_return reads it
+    # back from its memo: one call more than the orbits integrated.
+    calls, integrated = [], []
     first_return = poincare.first_return
     monkeypatch.setattr(
         poincare, "first_return",
         lambda *a, **k: calls.append(a) or first_return(*a, **k),
     )
-    counts = {}
+    integrate_numeric = poincare.integrate_numeric
+    monkeypatch.setattr(
+        poincare, "integrate_numeric",
+        lambda *a, **k: integrated.append(a) or integrate_numeric(*a, **k),
+    )
+    counts, runs = {}, {}
     out = str(tmp_path / "oracle.json")
     for name in FIXTURE_NAMES:
         path = tmp_path / f"{name}.json"
         path.write_text(fixture_text(name), encoding="utf-8")
         assert main(["oracle", "--input", str(path), "--output", out]) == EXIT_OK
-        counts[name] = len(calls)
+        counts[name], runs[name] = len(calls), len(integrated)
         calls.clear()
+        integrated.clear()
     assert max(counts.values()) <= 7, counts
     assert sum(counts.values()) <= 40, counts
+    assert max(runs.values()) <= 6, runs
+    assert sum(runs.values()) <= 34, runs
 
 
 def test_oracle_brackets_ascend_from_beyond_agreement():

@@ -43,6 +43,13 @@ from conftest import CCC_TIMES, GOLDEN_CORNERS, random_three_zone
 F = LinearHamiltonianField
 
 
+@pytest.fixture(autouse=True)
+def _fresh_first_return_memo():
+    """Each test integrates its own returns: first_return's memo keeps no
+    answer of an earlier test."""
+    poincare._first_return.cache_clear()
+
+
 def _interior_center_system():
     """Harmonic center in the middle strip; small orbits never switch zones."""
     return PiecewiseSystem.three_zone(
@@ -201,6 +208,7 @@ def test_jumped_return_map_matches_step_by_step(examples, monkeypatch):
     )
     jumped = [_return_outcome(system, y) for system, y in probes]
     # With no run certified, every whole step is taken one by one.
+    poincare._first_return.cache_clear()
     monkeypatch.setattr(poincare, "_run_length", lambda *args: 0)
     stepped = [_return_outcome(system, y) for system, y in probes]
     kinds = [outcome[0] for outcome in stepped]
@@ -226,6 +234,7 @@ def _jumped_and_stepped(monkeypatch, system, y: float) -> tuple:
     """The return map's outcome from (x, y) on the section, then its outcome
     with every whole step taken one by one."""
     jumped = _return_outcome(system, y)
+    poincare._first_return.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(poincare, "_run_length", lambda *args: 0)
         return jumped, _return_outcome(system, y)
@@ -636,16 +645,63 @@ def test_fixed_point_worst_cases(monkeypatch, displacement, bracket):
     calls = []
 
     def synthetic_return_map(system, y, tol):
-        calls.append(y)
-        return y + displacement(y)
+        calls.append((y, y + displacement(y)))
+        return calls[-1][1]
 
     monkeypatch.setattr(poincare, "return_map", synthetic_return_map)
     got, d_hi = fixed_point(None, bracket)
     assert d_hi == (bracket[1] + displacement(bracket[1])) - bracket[1]
     assert bracket[0] <= got <= bracket[1]
     assert abs(got - _R) <= FIXED_POINT_Y_TOL
+    _assert_settles_on_a_probed_end(calls, got)
     width = bracket[1] - bracket[0]
     assert len(calls) <= 2 * math.ceil(math.log2(width / FIXED_POINT_Y_TOL)) + 2
+
+
+def _assert_settles_on_a_probed_end(calls, got):
+    """got is the end of fixed_point's final bracket with the smaller
+    |displacement|, given every (y, return_map(y)) it probed in order: the
+    final bracket's ends are the last probe of each displacement sign."""
+    probes = [(y, mapped - y) for y, mapped in calls]
+    assert got in [y for y, _ in probes]
+    zeros = [y for y, d in probes if d == 0.0]
+    if zeros:  # an exact zero ends the search there
+        assert got == zeros[0]
+        return
+    ends = {math.copysign(1.0, d): (y, d) for y, d in probes}
+    (y_neg, d_neg), (y_pos, d_pos) = ends[-1.0], ends[1.0]
+    assert abs(y_pos - y_neg) <= FIXED_POINT_Y_TOL
+    smallest = min(-d_neg, d_pos)
+    assert got in [y for y, d in ends.values() if abs(d) == smallest]
+
+
+def test_fixed_point_settles_on_a_probed_end(examples, monkeypatch):
+    # The oracle's narrowest bracket on each fixture: the fixed point is one
+    # of the RK4 return map's probes, within FIXED_POINT_Y_TOL of the root
+    # that plain bisection of the same map finds to 1e-12.
+    calls = []
+    original = poincare.return_map
+
+    def recorded(system, y, tol):
+        calls.append((y, original(system, y, tol)))
+        return calls[-1][1]
+
+    for name, system in sorted(examples.items()):
+        y0 = GOLDEN_CORNERS[name][0]
+        lo, hi = y0 - ORACLE_BRACKETS[0], y0 + ORACLE_BRACKETS[0]
+        calls.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(poincare, "return_map", recorded)
+            got = fixed_point(system, (lo, hi)).y
+        _assert_settles_on_a_probed_end(calls, got)
+        sign_lo = math.copysign(1.0, return_map(system, lo) - lo)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if math.copysign(1.0, return_map(system, mid) - mid) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(got - 0.5 * (lo + hi)) <= FIXED_POINT_Y_TOL, name
 
 
 @pytest.mark.parametrize(
@@ -658,13 +714,58 @@ def test_fixed_point_returns_an_exact_zero(monkeypatch, bracket, calls_made):
     calls = []
 
     def synthetic_return_map(system, y, tol):
-        calls.append(y)
-        return 2.0 * y - 0.25
+        calls.append((y, 2.0 * y - 0.25))
+        return calls[-1][1]
 
     monkeypatch.setattr(poincare, "return_map", synthetic_return_map)
     y_hi = bracket[1]
     assert fixed_point(None, bracket) == (0.25, (2.0 * y_hi - 0.25) - y_hi)
     assert len(calls) == calls_made
+    _assert_settles_on_a_probed_end(calls, 0.25)
+
+
+def _count_integrations(monkeypatch) -> list:
+    """The start of every integrate_numeric run from now on."""
+    starts = []
+    original = poincare.integrate_numeric
+
+    def counted(system, x0, *args, **kwargs):
+        starts.append(x0)
+        return original(system, x0, *args, **kwargs)
+
+    monkeypatch.setattr(poincare, "integrate_numeric", counted)
+    return starts
+
+
+def test_first_return_keeps_its_last_answers(examples, monkeypatch):
+    system = examples["SCS"]
+    y0 = GOLDEN_CORNERS["SCS"][0]
+    runs = _count_integrations(monkeypatch)
+    want = first_return(system, y0, DEFAULT_TOL)
+    assert first_return(system, y0, tol=DEFAULT_TOL) == want
+    assert first_return(system, y0) == want
+    assert return_map(system, y0) == want[0]
+    assert len(runs) == 1
+    # An equal system built afresh, or a cleared memo, runs again to the
+    # same bits.
+    rebuilt = PiecewiseSystem(system.layout, system.fields)
+    assert [v.hex() for v in first_return(rebuilt, y0)] == [v.hex() for v in want]
+    poincare._first_return.cache_clear()
+    assert [v.hex() for v in first_return(system, y0)] == [v.hex() for v in want]
+    assert len(runs) == 3
+
+
+def test_first_return_keeps_no_exception(examples, monkeypatch):
+    runs = _count_integrations(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(NoReturn):
+            first_return(examples["CCC"], -3.0)
+    # Just inside the SSC cycle the orbit reaches a sliding segment.
+    y = GOLDEN_CORNERS["SSC"][0] - 0.05
+    for _ in range(3):
+        with pytest.raises(SlidingEncountered):
+            first_return(examples["SSC"], y)
+    assert len(runs) == 6
 
 
 def test_bad_bracket_rejected(ccc):
@@ -990,6 +1091,9 @@ def test_jump_powers_are_derived_once_per_zone_and_run_length(examples, monkeypa
         derived.clear()
         jumps.clear()
         y = fixed_point_near(system, GOLDEN_CORNERS[name][0]).y
+        # The oracle reads this return back from first_return's memo; run
+        # again, it repeats a probe's run lengths.
+        poincare._first_return.cache_clear()
         first_return(system, y)
         # Each of the oracle's return maps jumps once per zone visit, but the
         # runs repeat a few lengths: one derivation each.
